@@ -11,7 +11,6 @@ from .admissible import (
 )
 from .besov import (
     BesovParams,
-    DyadicDecomposition,
     besov_norm,
     besov_value,
     check_embedding,
@@ -25,7 +24,6 @@ from .fields import (
     load_snapshot,
     random_field,
     save_snapshot,
-    stream_function,
 )
 from .nonlinear import (
     bilinear_b,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BesovParams",
-    "DyadicDecomposition",
     "ForcingSpec",
     "GridField",
     "Scenario",
@@ -86,7 +83,6 @@ __all__ = [
     "solve_y",
     "split_data",
     "stokes_solve",
-    "stream_function",
     "trilinear",
     "uniqueness_probe",
     "verify_classical_trilinear",

@@ -14,7 +14,7 @@ blocks partition every active mode.  Every NormReport records this.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,15 +70,6 @@ def index_float(x) -> float:
     return float(x)
 
 
-def block_index(kk: int) -> int:
-    """Dyadic block of a mode with squared magnitude kk (kk >= 1)."""
-    m, bound = 0, 4
-    while kk > bound:
-        m += 1
-        bound *= 4
-    return m
-
-
 @lru_cache(maxsize=None)
 def _block_masks(n: int):
     """Boolean masks on the canonical layout, one per dyadic block."""
@@ -99,26 +90,6 @@ def _block_masks(n: int):
         masks.append(mask)
         lo = hi
     return tuple(masks)
-
-
-@dataclass(frozen=True)
-class DyadicDecomposition:
-    """Partition of the active modes of a resolution into dyadic annuli."""
-
-    n: int
-    blocks: tuple  # of (m, frozenset of (k1, k2) over the full lattice)
-
-    @classmethod
-    def for_resolution(cls, n: int) -> "DyadicDecomposition":
-        k1a, k2a, _, _, _, _, _ = _lattice(n)
-        blocks = []
-        for m, mask in enumerate(_block_masks(n)):
-            modes = set()
-            for i, j in zip(*np.nonzero(mask)):
-                modes.add((int(k1a[i, j]), int(k2a[i, j])))
-                modes.add((int(-k1a[i, j]), int(-k2a[i, j])))
-            blocks.append((m, frozenset(modes)))
-        return cls(n, tuple(blocks))
 
 
 def lp_norm(grid, p) -> float:
@@ -190,13 +161,7 @@ def besov_norm(u: SpectralField, s, p, q, m: int | None = None) -> NormReport:
     if qf < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     m_eff = 2 * u.n if m is None else m
-    blocks = []
-    total = 0.0
-    for blk, lp in block_lp_norms(u, p, m_eff):
-        contrib = (2.0 ** (blk * sf)) * lp
-        blocks.append((blk, lp, contrib))
-        total += contrib**qf
-    value = total ** (1.0 / qf)
+    block_lp = block_lp_norms(u, p, m_eff)
     return NormReport(
         kind="besov",
         s=as_fraction(s) if isinstance(s, (int, str, Fraction)) else None,
@@ -204,8 +169,8 @@ def besov_norm(u: SpectralField, s, p, q, m: int | None = None) -> NormReport:
         q=as_fraction(q) if isinstance(q, (int, str, Fraction)) else None,
         n=u.n,
         m=m_eff,
-        value=value,
-        blocks=tuple(blocks),
+        value=besov_from_block_lp(block_lp, s, q),
+        blocks=tuple((blk, lp, (2.0 ** (blk * sf)) * lp) for blk, lp in block_lp),
     )
 
 

@@ -27,11 +27,12 @@ from .admissible import (
 )
 from .besov import BesovParams, as_fraction, besov_norm, lp_norm, sobolev_norm
 from .errors import InadmissibleParams
-from .fields import load_snapshot, save_snapshot
+from .fields import load_snapshot, random_field, save_snapshot
 from .nonlinear import EnsembleSpec, energy_lemma_ensemble, verify_estimate_chain
 from .scenario import Scenario, ScenarioError
-from .solver import solve_direct, solve_local, solve_split, uniqueness_probe
+from .solver import regularity_norms_y, solve_direct, solve_local, solve_split, uniqueness_probe
 from .stokes import stokes_solve
+from .trajectory import cumulative_trapezoid
 
 
 def _meta(scenario: Scenario | None, **extra) -> dict:
@@ -40,7 +41,7 @@ def _meta(scenario: Scenario | None, **extra) -> dict:
         meta.update(
             scenario_hash=scenario.digest(),
             n=scenario.n,
-            grid_m=2 * scenario.n,
+            grid_m=scenario.solver_config().grid_m,
             dt=scenario.dt,
             **{f"const_{k}": v for k, v in scenario.constants.as_dict().items()},
         )
@@ -115,8 +116,7 @@ def cmd_stokes(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     u0 = scenario.initial_field()
     forcing = scenario.forcing_spec()
-    steps = max(1, round(scenario.t_final / scenario.dt))
-    traj = stokes_solve(u0, forcing, scenario.t_final, steps)
+    traj = stokes_solve(u0, forcing, scenario.t_final, scenario.solver_config().steps)
     p = scenario.params
     if "trajectory" in scenario.reports:
         traj.to_csv(out / "trajectory.csv",
@@ -139,8 +139,7 @@ def _energy_residual_series(traj, forcing) -> np.ndarray:
     half_e = 0.5 * traj.series(lambda u: u.energy())
     h1_sq = traj.series(lambda u: u.h_norm(1.0) ** 2)
     work = np.array([forcing.field_at(float(t)).inner(u) for t, u in zip(times, traj.fields)])
-    visc = np.concatenate([[0.0], np.cumsum(0.5 * (h1_sq[1:] + h1_sq[:-1]) * np.diff(times))])
-    pump = np.concatenate([[0.0], np.cumsum(0.5 * (work[1:] + work[:-1]) * np.diff(times))])
+    visc, pump = cumulative_trapezoid(times, h1_sq), cumulative_trapezoid(times, work)
     return half_e - half_e[0] + visc - pump
 
 
@@ -211,8 +210,6 @@ def cmd_solve_split(args) -> int:
         )
         result.y_trajectory.to_csv(out / "rough_part.csv", meta=_meta(scenario))
     _write_snapshots(scenario, result.direct, out)
-    from .solver import regularity_norms_y
-
     _write_json(out / "report.json", {
         "meta": _meta(scenario),
         "cutoff": result.split.k_cut,
@@ -258,7 +255,6 @@ def cmd_uniqueness_probe(args) -> int:
     u0 = scenario.initial_field()
     forcing = scenario.forcing_spec()
     traj = solve_direct(u0, forcing, cfg, record_stages=True)
-    from .fields import random_field
     delta0 = random_field(scenario.n, 3.0, scenario.seed + 99, band=cfg.band,
                           amplitude=args.delta_amplitude)
     report = uniqueness_probe(traj, traj, scenario.params, cfg, delta0=delta0,

@@ -54,6 +54,27 @@ def _lattice(n: int):
     return k1, k2, canon, kk, kabs, phi1, phi2
 
 
+@lru_cache(maxsize=None)
+def _band_mask(n: int, band: int) -> np.ndarray:
+    """Modes with |k|_inf <= band on the canonical layout."""
+    k1, k2, _, _, _, _, _ = _lattice(n)
+    mask = np.maximum(np.abs(k1), np.abs(k2)) <= band
+    mask.setflags(write=False)
+    return mask
+
+
+def _leray_project(wx: np.ndarray, wy: np.ndarray, n: int) -> np.ndarray:
+    """Basis coefficients u_k = 2 pi (W_k . k_perp) / |k| on the canonical layout.
+
+    W are velocity Fourier coefficients (of exp(i k.xi)) on an m x m FFT
+    layout; gradient parts pair to zero against the basis.
+    """
+    k1a, k2a, _, _, kabs, _, _ = _lattice(n)
+    m = wx.shape[0]
+    i1, i2 = k1a % m, k2a % m
+    return TWO_PI * (wx[i1, i2] * (-k2a) + wy[i1, i2] * k1a) / kabs
+
+
 def canonical_shape(n: int) -> tuple[int, int]:
     return (n // 2 + 1, n + 1)
 
@@ -214,9 +235,7 @@ class SpectralField:
 
     def truncated_inf(self, band: int) -> "SpectralField":
         """Zero out all modes with |k|_inf > band."""
-        k1a, k2a, _, _, _, _, _ = _lattice(self.n)
-        keep = np.maximum(np.abs(k1a), np.abs(k2a)) <= band
-        return SpectralField(self.n, np.where(keep, self.c, 0.0))
+        return SpectralField(self.n, np.where(_band_mask(self.n, band), self.c, 0.0))
 
     def low_pass(self, k_cut: int) -> "SpectralField":
         """Keep modes with Euclidean |k| <= k_cut."""
@@ -292,15 +311,9 @@ class SpectralField:
         m = grid.m
         if m < n:
             raise ResolutionMismatch(f"grid size {m} < resolution {n}")
-        k1a, k2a, canon, _, kabs, _, _ = _lattice(n)
         cx = np.fft.fft2(grid.values[:, :, 0]) / (m * m)
         cy = np.fft.fft2(grid.values[:, :, 1]) / (m * m)
-        i1, i2 = k1a % m, k2a % m
-        wx = cx[i1, i2]
-        wy = cy[i1, i2]
-        # u_k = 2 pi (W_k . k_perp) / |k|
-        coeffs = TWO_PI * (wx * (-k2a) + wy * k1a) / kabs
-        return cls(n, np.where(canon, coeffs, 0.0))
+        return cls(n, _leray_project(cx, cy, n))
 
     # -- stream function --------------------------------------------------------
 
@@ -314,11 +327,6 @@ class SpectralField:
         for k1, k2, uk in self.active_modes():
             out[(k1, k2)] = complex(-1j * uk / np.hypot(k1, k2))
         return out
-
-
-def stream_function(u: SpectralField) -> dict[tuple[int, int], complex]:
-    """Scalar stream-function coefficients of a velocity field (u = perp-grad psi)."""
-    return u.stream_coefficients()
 
 
 @dataclass(frozen=True)
@@ -431,14 +439,13 @@ def random_field(
     """
     if n > _RANDOM_MASTER_N:
         raise ResolutionMismatch(f"random fields capped at resolution {_RANDOM_MASTER_N}")
-    k1a, k2a, canon, kk, _, _, _ = _lattice(n)
+    _, _, canon, kk, _, _, _ = _lattice(n)
     half, master_half = n // 2, _RANDOM_MASTER_N // 2
     xi = _master_noise(int(seed))[: half + 1, master_half - half: master_half + half + 1]
     mag = np.where(canon, kk, 1).astype(float) ** (-float(gamma) / 2.0)
     c = amplitude * mag * xi
     if band is not None:
-        keep = np.maximum(np.abs(k1a), np.abs(k2a)) <= band
-        c = np.where(keep, c, 0.0)
+        c = np.where(_band_mask(n, band), c, 0.0)
     return SpectralField(n, np.where(canon, c, 0.0))
 
 

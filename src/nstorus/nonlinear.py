@@ -23,17 +23,21 @@ import numpy as np
 from .admissible import derive_exponents
 from .besov import as_fraction, besov_value
 from .errors import OracleCapExceeded, ResolutionMismatch
-from .fields import TWO_PI, SpectralField, _lattice, canonical_shape, random_field, gamma_for_regularity
+from .fields import (
+    TWO_PI,
+    SpectralField,
+    _band_mask,
+    _lattice,
+    _leray_project,
+    canonical_shape,
+    gamma_for_regularity,
+    random_field,
+)
 
 
 def dealias_band(n: int) -> int:
     """Retained band |k|_inf <= N/3 for quadratic products at resolution N."""
     return n // 3
-
-
-def _band_mask(n: int, band: int) -> np.ndarray:
-    k1a, k2a, _, _, _, _, _ = _lattice(n)
-    return np.maximum(np.abs(k1a), np.abs(k2a)) <= band
 
 
 def bilinear_b(u: SpectralField, v: SpectralField, band: int | None = None,
@@ -60,11 +64,7 @@ def bilinear_b(u: SpectralField, v: SpectralField, band: int | None = None,
     w2 = ux * (np.fft.ifft2(ikx * cvy).real * scale) + uy * (np.fft.ifft2(iky * cvy).real * scale)
     wx = np.fft.fft2(w1) / scale
     wy = np.fft.fft2(w2) / scale
-    k1a, k2a, canon, _, kabs, _, _ = _lattice(n)
-    i1, i2 = k1a % m, k2a % m
-    coeffs = TWO_PI * (wx[i1, i2] * (-k2a) + wy[i1, i2] * k1a) / kabs
-    keep = canon & _band_mask(n, band)
-    return SpectralField(n, np.where(keep, coeffs, 0.0))
+    return SpectralField(n, np.where(_band_mask(n, band), _leray_project(wx, wy, n), 0.0))
 
 
 def bilinear_b_oracle(u: SpectralField, v: SpectralField, band: int | None = None,

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .admissible import check_global, check_local, derive_exponents
-from .besov import besov_value
+from .besov import besov_value, lp_norm
 from .errors import (
     CutoffExhausted,
     InadmissibleParams,
@@ -39,10 +39,18 @@ from .errors import (
     SmallnessBoundViolation,
     SmallnessViolation,
 )
-from .fields import SpectralField
-from .nonlinear import bilinear_b, dealias_band
-from .stokes import ForcingSpec, SampledForcing, apply_a, semigroup, stokes_solve
-from .trajectory import Trajectory
+from .fields import SpectralField, gamma_for_regularity, random_field
+from .nonlinear import EnsembleSpec, bilinear_b, dealias_band, energy_lemma_ensemble
+from .stokes import (
+    ForcingSpec,
+    SampledForcing,
+    apply_a,
+    forcing_lr_norm,
+    linear_regularity_report,
+    semigroup,
+    stokes_solve,
+)
+from .trajectory import Trajectory, cumulative_trapezoid, lr_time_norm
 
 
 @dataclass(frozen=True)
@@ -209,13 +217,8 @@ def data_f_norm(u0: SpectralField, forcing, params, t_final: float, samples: int
                 m: int | None = None) -> float:
     """Discrete data norm: L^r-in-time Besov norm of f plus the initial-data norm."""
     times = np.linspace(0.0, t_final, samples + 1)
-    vals = np.array(
-        [besov_value(forcing.field_at(float(t)), -params.s, params.p, params.q, m) for t in times]
-    )
-    r = float(params.r)
-    f_part = float(np.trapezoid(vals**r, times) ** (1.0 / r))
-    u0_part = besov_value(u0, params.initial_regularity, params.p, params.r, m)
-    return f_part + u0_part
+    return (forcing_lr_norm(forcing, params, times, m)
+            + besov_value(u0, params.initial_regularity, params.p, params.r, m))
 
 
 def smallness_bound_rhs(constants: EmpiricalConstants) -> float:
@@ -265,14 +268,11 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
     """
     band, m = config.band, config.grid_m
     times = np.linspace(0.0, t_bar, steps + 1)
-    r = float(params.r)
 
     def graph_norm(fields_a, fields_b, rhs_a, rhs_b):
-        top = np.array([besov_value(a - b, -params.s + 2, params.p, params.q)
-                        for a, b in zip(fields_a, fields_b)])
-        bot = np.array([besov_value(pa - pb, -params.s, params.p, params.q)
-                        for pa, pb in zip(rhs_a, rhs_b)])
-        return float(np.trapezoid(top**r + bot**r, times) ** (1.0 / r))
+        diff = Trajectory(times, [a - b for a, b in zip(fields_a, fields_b)],
+                          derivs=[pa - pb for pa, pb in zip(rhs_a, rhs_b)])
+        return diff.w1r_norm(params)
 
     u0b = u0.truncated_inf(band)
     current = [semigroup(u0b, float(t)) for t in times]
@@ -351,15 +351,11 @@ def split_data(u0: SpectralField, forcing: ForcingSpec, eps_split: float, params
         raise ValueError("eps_split must be positive")
     k_max = u0.n // 2 if k_max is None else k_max
     times = np.linspace(0.0, t_final, samples + 1)
-    r = float(params.r)
     for k_cut in range(k_start, k_max + 1):
         g, h = forcing.split(k_cut)
         x0 = u0.low_pass(k_cut)
         y0 = u0 - x0
-        h_vals = np.array(
-            [besov_value(h.field_at(float(t)), -params.s, params.p, params.q) for t in times]
-        )
-        h_norm = float(np.trapezoid(h_vals**r, times) ** (1.0 / r))
+        h_norm = forcing_lr_norm(h, params, times)
         y0_norm = besov_value(y0, params.initial_regularity, params.p, params.r)
         if h_norm < eps_split and y0_norm < eps_split:
             return SplitData(x0, g, y0, h, k_cut, h_norm, y0_norm)
@@ -375,12 +371,7 @@ def solve_y(y0: SpectralField, h: ForcingSpec, params, config: SolverConfig) -> 
         raise SmallnessViolation(
             f"initial-data norm {y0_norm:.3e} exceeds threshold {config.smallness_y0:.3e}"
         )
-    times = np.linspace(0.0, config.t_final, config.steps + 1)
-    r = float(params.r)
-    h_vals = np.array(
-        [besov_value(h.field_at(float(t)), -params.s, params.p, params.q) for t in times]
-    )
-    h_norm = float(np.trapezoid(h_vals**r, times) ** (1.0 / r))
+    h_norm = forcing_lr_norm(h, params, np.linspace(0.0, config.t_final, config.steps + 1))
     if h_norm > config.smallness_h:
         raise SmallnessViolation(
             f"forcing norm {h_norm:.3e} exceeds threshold {config.smallness_h:.3e}"
@@ -395,10 +386,9 @@ def solve_y(y0: SpectralField, h: ForcingSpec, params, config: SolverConfig) -> 
 
 def regularity_norms_y(traj: Trajectory, params) -> dict:
     """The rough-part regularity norms, discretely."""
-    r = float(params.r)
-    top = traj.lr_time_norm(traj.besov_series(-params.s + 2, params.p, params.q), r)
-    bot = traj.lr_time_norm(traj.deriv_besov_series(-params.s, params.p, params.q), r)
-    sup = traj.sup_time(traj.besov_series(params.initial_regularity, params.p, params.r))
+    top = lr_time_norm(traj.times, params.r, traj.besov_series(-params.s + 2, params.p, params.q))
+    bot = lr_time_norm(traj.times, params.r, traj.deriv_besov_series(-params.s, params.p, params.q))
+    sup = float(np.max(traj.besov_series(params.initial_regularity, params.p, params.r)))
     return {"lr_state": top, "lr_deriv": bot, "sup_initial_space": sup}
 
 
@@ -446,12 +436,14 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y_traj: Trajectory, params,
     if len(y_traj.fields) != steps + 1:
         raise ResolutionMismatch("y trajectory grid does not match the solver grid")
     band, m = config.band, config.grid_m
-    bxx_cache: dict = {}
+    # Stepper.step evaluates all four stages before the accumulators, so the
+    # work integrand reads B(x,x) and y of the current step's stage from here.
+    stage_bxx: dict = {}
 
     def nonlin(x, t, i, stage):
         y = _stage_field(y_traj, i, stage) if i < steps else y_traj.fields[-1]
         bxx = bilinear_b(x, x, band=band, m=m)
-        bxx_cache[(i, stage)] = (x, y, bxx)
+        stage_bxx[stage] = (y, bxx)
         return (
             _band_forcing_value(g, t, band)
             - bxx
@@ -463,12 +455,7 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y_traj: Trajectory, params,
         return x.h_norm(1.0) ** 2
 
     def acc_work_b(x, t, i, stage):
-        cached = bxx_cache.get((i, stage))
-        if cached is not None and cached[0] is x:
-            y, bxx = cached[1], cached[2]
-        else:  # pragma: no cover - defensive, stages always cached by nonlin
-            y = _stage_field(y_traj, i, stage)
-            bxx = bilinear_b(x, x, band=band, m=m)
+        y, bxx = stage_bxx[stage]
         return bxx.inner(y)
 
     def acc_work_g(x, t, i, stage):
@@ -499,11 +486,11 @@ def build_energy_monitor(traj: Trajectory, y_traj: Trajectory, g: ForcingSpec,
     # a priori envelope: ||x(t)||^2 <= (||x0||^2 + 2 int ||g||^2_{H-1}) exp(2 c int ||y||^r)
     times = traj.times
     band = config.band
-    g_vals = np.array([g.field_at(float(t)).truncated_inf(band).h_norm(-1.0) ** 2 for t in times])
-    g_int = np.concatenate([[0.0], np.cumsum((g_vals[1:] + g_vals[:-1]) * 0.5 * np.diff(times))])
+    g_vals = [g.field_at(float(t)).truncated_inf(band).h_norm(-1.0) ** 2 for t in times]
+    g_int = cumulative_trapezoid(times, g_vals)
     sigma = Fraction(2) / params.p + Fraction(2) / params.r - 1
     y_vals = y_traj.besov_series(sigma, params.p, params.r) ** float(params.r)
-    y_int = np.concatenate([[0.0], np.cumsum((y_vals[1:] + y_vals[:-1]) * 0.5 * np.diff(times))])
+    y_int = cumulative_trapezoid(times, y_vals)
     c = config.constants.c_energy
     envelope = (x0.energy() + 2.0 * g_int) * np.exp(2.0 * c * y_int)
     breaches = x_l2_sq > envelope * (1.0 + config.gronwall_slack) + 1e-30
@@ -584,7 +571,7 @@ def uniqueness_probe(u_traj: Trajectory, ut_traj: Trajectory, params, config: So
 
     # contraction coefficient over halving windows
     sigma = Fraction(2) / params.p + Fraction(2) / params.r - 1
-    u_vals = u_traj.besov_series(sigma, params.p, params.q) ** float(params.r)
+    u_vals = u_traj.besov_series(sigma, params.p, params.q)
     times = u_traj.times
     c2 = config.constants.c2
     windows = []
@@ -594,10 +581,8 @@ def uniqueness_probe(u_traj: Trajectory, ut_traj: Trajectory, params, config: So
         idx = int(round(steps * frac))
         if idx < 1:
             break
-        t_w = times[: idx + 1]
-        v = float(np.trapezoid(u_vals[: idx + 1], t_w) ** (1.0 / float(params.r)))
         windows.append(times[idx])
-        values.append(c2 * v)
+        values.append(c2 * lr_time_norm(times[: idx + 1], params.r, u_vals[: idx + 1]))
 
     delta_norms = None
     envelope = None
@@ -606,9 +591,7 @@ def uniqueness_probe(u_traj: Trajectory, ut_traj: Trajectory, params, config: So
         d_traj = integrate(delta0, nonlin_delta, t_final, steps, band)
         delta_norms = d_traj.series(lambda f: f.l2_norm())
         ut_h1 = ut_traj.series(lambda f: f.h_norm(1.0) ** 2)
-        growth = np.concatenate(
-            [[0.0], np.cumsum((ut_h1[1:] + ut_h1[:-1]) * 0.5 * np.diff(times))]
-        )
+        growth = cumulative_trapezoid(times, ut_h1)
         c_l = config.constants.c_ladyzhenskaya
         envelope = delta_norms[0] * np.exp(0.5 * c_l**2 * growth)
         holds = bool(np.all(delta_norms <= envelope * (1.0 + 1e-8)))
@@ -633,16 +616,15 @@ def estimate_empirical_constants(params, n: int = 32, count: int = 64, seed: int
     ratios realize the continuity, product-estimate and contraction bounds
     whose constants the continuous theory leaves unquantified.
     """
-    from .fields import gamma_for_regularity, random_field
-    from .nonlinear import energy_lemma_ensemble
-    from .stokes import linear_regularity_report
-
     band = dealias_band(n)
     gamma_u0 = gamma_for_regularity(float(params.initial_regularity))
     gamma_f = gamma_for_regularity(float(-params.s))
     exps = derive_exponents(params)
     sigma_top = Fraction(2) / params.p + Fraction(2) / params.r - 1
-    r = float(params.r)
+    # The S space L^r(B^sigma_top) with derivative in L^r(B^{sigma_top - 2}) is the
+    # graph space of the exponents with s = 2 - sigma_top; its forcing space is
+    # L^r(B^{sigma_top - 2}).
+    s_params = replace(params, s=2 - sigma_top)
 
     ninv = c1 = c2 = c3 = 0.0
     for i in range(count):
@@ -653,55 +635,40 @@ def estimate_empirical_constants(params, n: int = 32, count: int = 64, seed: int
         ninv = max(ninv, rep.ratio)
 
         # product estimate along the linear trajectory
-        b_vals = np.array(
-            [besov_value(bilinear_b(u, u, band=band), -params.s, params.p, params.q)
-             for u in traj.fields]
-        )
-        b_int = float(np.trapezoid(b_vals**r, traj.times) ** (1.0 / r))
-        w = traj.w1r_norm(params)
+        b_vals = [besov_value(bilinear_b(u, u, band=band), -params.s, params.p, params.q)
+                  for u in traj.fields]
+        b_int = lr_time_norm(traj.times, params.r, b_vals)
+        w = rep.w_norm
         if w > 0:
             c1 = max(c1, b_int / (t_final ** float(exps.epsilon) * w**2))
 
         # contraction bound: ||B(u, d)|| against ||u|| ||d||_S
         d_field = random_field(n, gamma_u0, seed + 3 * i + 2, band=band, amplitude=1.0)
         d_traj = stokes_solve(d_field, ForcingSpec.zero(n), t_final, steps)
-        bd_vals = np.array(
-            [besov_value(bilinear_b(u, d, band=band), sigma_top - 2, params.p, params.q)
-             for u, d in zip(traj.fields, d_traj.fields)]
-        )
-        bd_int = float(np.trapezoid(bd_vals**r, traj.times) ** (1.0 / r))
-        u_int = float(
-            np.trapezoid(traj.besov_series(sigma_top, params.p, params.q) ** r, traj.times)
-            ** (1.0 / r)
-        )
-        d_s = _s_space_norm(d_traj, params, sigma_top)
+        bd_vals = [besov_value(bilinear_b(u, d, band=band), sigma_top - 2, params.p, params.q)
+                   for u, d in zip(traj.fields, d_traj.fields)]
+        bd_int = lr_time_norm(traj.times, params.r, bd_vals)
+        u_int = lr_time_norm(traj.times, params.r, traj.besov_series(sigma_top, params.p, params.q))
+        d_s = d_traj.w1r_norm(s_params)
         if u_int > 0 and d_s > 0:
             c2 = max(c2, bd_int / (u_int * d_s))
 
         # Stokes solution-map norm onto the S space
         g_field = random_field(n, gamma_for_regularity(float(sigma_top - 2)), seed + 7919 + i,
                                band=band, amplitude=1.0)
-        g_traj = stokes_solve(SpectralField.zeros(n), ForcingSpec.from_field(g_field),
-                              t_final, steps)
-        g_norm = float(
-            np.trapezoid(
-                np.full(steps + 1, besov_value(g_field, sigma_top - 2, params.p, params.q)) ** r,
-                g_traj.times,
-            )
-            ** (1.0 / r)
-        )
-        s_norm = _s_space_norm(g_traj, params, sigma_top)
+        g = ForcingSpec.from_field(g_field)
+        g_traj = stokes_solve(SpectralField.zeros(n), g, t_final, steps)
+        g_norm = forcing_lr_norm(g, s_params, g_traj.times)
+        s_norm = g_traj.w1r_norm(s_params)
         if g_norm > 0:
             c3 = max(c3, s_norm / g_norm)
 
     lad = 0.0
     for i in range(count):
         v = random_field(n, 1.5, seed + 104729 + i, band=band)
-        from .besov import lp_norm
         l4 = lp_norm(v.to_grid(4 * n), 4)
         lad = max(lad, l4**2 / (v.l2_norm() * v.h_norm(1.0)))
 
-    from .nonlinear import EnsembleSpec
     energy = energy_lemma_ensemble(
         0.25, params.p, params.r,
         EnsembleSpec(count=count, seed=seed, resolutions=(n,)),
@@ -715,10 +682,3 @@ def estimate_empirical_constants(params, n: int = 32, count: int = 64, seed: int
         c_energy=2.0 * energy.max_ratio,
         c_ladyzhenskaya=2.0 * lad,
     )
-
-
-def _s_space_norm(traj: Trajectory, params, sigma_top: Fraction) -> float:
-    r = float(params.r)
-    top = traj.besov_series(sigma_top, params.p, params.q) ** r
-    bot = traj.deriv_besov_series(sigma_top - 2, params.p, params.q) ** r
-    return float(np.trapezoid(top + bot, traj.times) ** (1.0 / r))

@@ -6,6 +6,10 @@ evaluated per mode from the variation-of-constants formula; for constant
 and sinusoidal forcing the time integral is closed form, so the linear
 layer carries no time-discretization error at all.  Sampled forcing series
 are integrated with the piecewise-constant rule, interval by interval.
+
+forcing_lr_norm is the single home of the forcing norm
+||f||_{L^r(0,T; B^{-s}_{p,q})} on a sample grid; every data norm, split
+threshold and continuity ratio in the package is measured with it.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .besov import besov_value
 from .errors import ResolutionMismatch
 from .fields import SpectralField, random_field
-from .trajectory import Trajectory
+from .trajectory import Trajectory, lr_time_norm
 
 
 def apply_a(u: SpectralField) -> SpectralField:
@@ -160,6 +165,22 @@ class SampledForcing:
         return self.fields[max(0, min(i, len(self.fields) - 1))]
 
 
+def forcing_lr_norm(forcing, params, times, m: int | None = None) -> float:
+    """||f||_{L^r(0,T; B^{-s}_{p,q})}, trapezoid in time over the sample grid.
+
+    When every component has the constant law, field_at is the same field at
+    every sample, so its Besov norm is evaluated once.
+    """
+    def norm_at(t):
+        return besov_value(forcing.field_at(float(t)), -params.s, params.p, params.q, m)
+
+    if isinstance(forcing, ForcingSpec) and all(c.law == "constant" for c in forcing.components):
+        vals = np.full(len(times), norm_at(times[0]))
+    else:
+        vals = np.array([norm_at(t) for t in times])
+    return lr_time_norm(times, params.r, vals)
+
+
 def stokes_solve(u0: SpectralField, forcing, t_final: float, steps: int) -> Trajectory:
     """Solve u' + Au = f, u(0) = u0 on [0, t_final] per mode.
 
@@ -225,19 +246,10 @@ class LinearRegularityReport:
 
 def linear_regularity_report(traj: Trajectory, forcing, u0: SpectralField, params,
                              m: int | None = None) -> LinearRegularityReport:
-    from .besov import besov_value  # local import to avoid cycle at module load
-
-    r = float(params.r)
-    f_vals = np.array(
-        [besov_value(forcing.field_at(float(t)), -params.s, params.p, params.q, m) for t in traj.times]
-    )
-    f_norm = traj.lr_time_norm(f_vals, r)
-    u0_norm = besov_value(u0, params.initial_regularity, params.p, params.r, m)
-    data_norm = f_norm + u0_norm
+    data_norm = (forcing_lr_norm(forcing, params, traj.times, m)
+                 + besov_value(u0, params.initial_regularity, params.p, params.r, m))
     w_norm = traj.w1r_norm(params, m)
-    sup_init = traj.sup_time(
-        traj.besov_series(params.initial_regularity, params.p, params.r, m)
-    )
+    sup_init = float(np.max(traj.besov_series(params.initial_regularity, params.p, params.r, m)))
     return LinearRegularityReport(
         w_norm=w_norm,
         data_norm=data_norm,

@@ -1,10 +1,12 @@
 """Time series of spectral fields with discrete-in-time norms.
 
-Time integrals (the L^r-in-time norms) use the composite trapezoid rule on
-the sample grid; sup-in-time norms take the max over samples.  A trajectory
-may carry the integrator's internal stage states so that a coupled equation
-can be driven by exactly the stage values a joint integration would use,
-and named accumulators integrated alongside the state by the same scheme.
+This module is the single home of the time rule: every time integral in
+the package is the composite trapezoid rule on the sample grid, either as
+the L^r-in-time norm (lr_time_norm) or as a running integral
+(cumulative_trapezoid).  A trajectory may carry the integrator's internal
+stage states so that a coupled equation can be driven by exactly the stage
+values a joint integration would use, and named accumulators integrated
+alongside the state by the same scheme.
 """
 
 from __future__ import annotations
@@ -14,7 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .besov import besov_value
-from .fields import SpectralField
+
+
+def lr_time_norm(times, r, *series) -> float:
+    """(int sum_i v_i(t)^r dt)^(1/r) over the sample grid, trapezoid in time."""
+    rf = float(r)
+    integrand = sum(np.asarray(v, dtype=float) ** rf for v in series)
+    return float(np.trapezoid(integrand, times) ** (1.0 / rf))
+
+
+def cumulative_trapezoid(times, values) -> np.ndarray:
+    """Running trapezoid integral of sampled values, starting from 0 at times[0]."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))])
 
 
 @dataclass
@@ -51,34 +65,13 @@ class Trajectory:
             raise ValueError("trajectory carries no derivative samples")
         return np.array([besov_value(d, s, p, q, m) for d in self.derivs], dtype=float)
 
-    def lr_time_norm(self, values: np.ndarray, r) -> float:
-        rf = float(r)
-        return float(np.trapezoid(np.asarray(values, dtype=float) ** rf, self.times) ** (1.0 / rf))
-
-    def sup_time(self, values: np.ndarray) -> float:
-        return float(np.max(values))
-
     def w1r_norm(self, params, m: int | None = None) -> float:
         """Discrete graph norm: (int ||u||^r_{B^{-s+2}_{p,q}} + int ||u'||^r_{B^{-s}_{p,q}})^(1/r)."""
         if self.derivs is None:
             raise ValueError("w1r norm needs derivative samples")
-        r = float(params.r)
-        a = self.besov_series(-params.s + 2, params.p, params.q, m) ** r
-        b = self.deriv_besov_series(-params.s, params.p, params.q, m) ** r
-        return float(np.trapezoid(a + b, self.times) ** (1.0 / r))
-
-    def field_at_index(self, i: int) -> SpectralField:
-        return self.fields[i]
-
-    def restricted(self, upto_index: int) -> "Trajectory":
-        """Prefix of the trajectory on [0, times[upto_index]]."""
-        return Trajectory(
-            self.times[: upto_index + 1],
-            self.fields[: upto_index + 1],
-            None if self.derivs is None else self.derivs[: upto_index + 1],
-            None if self.stages is None else self.stages[:upto_index],
-            {k: v[: upto_index + 1] for k, v in self.acc.items()},
-        )
+        return lr_time_norm(self.times, params.r,
+                            self.besov_series(-params.s + 2, params.p, params.q, m),
+                            self.deriv_besov_series(-params.s, params.p, params.q, m))
 
     def to_csv(self, path, besov_specs=(), extra_columns=None, meta: dict | None = None) -> None:
         """Write (t, L2, H1, configured Besov norms, accumulators, extras) as CSV.

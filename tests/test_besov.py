@@ -8,7 +8,7 @@ import pytest
 
 from nstorus.besov import (
     BesovParams,
-    DyadicDecomposition,
+    _block_masks,
     as_fraction,
     besov_from_block_lp,
     besov_norm,
@@ -19,7 +19,7 @@ from nstorus.besov import (
     lp_norm,
     sobolev_norm,
 )
-from nstorus.fields import SpectralField, random_field
+from nstorus.fields import SpectralField, _lattice, random_field
 
 SINGLE = SpectralField.from_modes(8, [((2, 0), 1.0)])
 
@@ -82,11 +82,22 @@ class TestSobolevNorm:
             assert abs(sobolev_norm(u, s, 2) - u.h_norm(s)) < 1e-10 * u.h_norm(s)
 
 
+def _block_modes(n):
+    """The modes of each mask of _block_masks, both orientations, as sets."""
+    k1a, k2a, _, _, _, _, _ = _lattice(n)
+    blocks = []
+    for mask in _block_masks(n):
+        modes = set()
+        for k1, k2 in zip(k1a[mask], k2a[mask]):
+            modes |= {(int(k1), int(k2)), (int(-k1), int(-k2))}
+        blocks.append(modes)
+    return blocks
+
+
 class TestDyadicBlocks:
     def test_partition_disjoint_exhaustive(self):
-        dec = DyadicDecomposition.for_resolution(16)
         seen = set()
-        for _, modes in dec.blocks:
+        for modes in _block_modes(16):
             assert not (seen & modes)
             seen |= modes
         half = 8
@@ -95,9 +106,8 @@ class TestDyadicBlocks:
         assert seen == expected
 
     def test_block_boundaries(self):
-        dec = DyadicDecomposition.for_resolution(16)
         by_mode = {}
-        for m, modes in dec.blocks:
+        for m, modes in enumerate(_block_modes(16)):
             for k in modes:
                 by_mode[k] = m
         assert by_mode[(1, 0)] == 0

@@ -11,6 +11,7 @@ from nstorus.stokes import (
     SampledForcing,
     apply_a,
     apply_inv_a,
+    forcing_lr_norm,
     linear_regularity_report,
     semigroup,
     stokes_energy_residual,
@@ -149,6 +150,51 @@ class TestStokesSolve:
         assert np.isfinite(rep.w_norm) and rep.w_norm > 0
         assert np.isfinite(rep.ratio) and rep.ratio > 0
         assert np.isfinite(rep.continuity_ratio) and rep.continuity_ratio > 0
+
+
+def _per_sample_lr_norm(forcing, times):
+    vals = np.array([besov_value(forcing.field_at(float(t)), -PARAMS.s, PARAMS.p, PARAMS.q)
+                     for t in times])
+    r = float(PARAMS.r)
+    return float(np.trapezoid(vals**r, times) ** (1.0 / r))
+
+
+class TestForcingNorm:
+    TIMES = np.linspace(0.0, 0.7, 29)
+
+    def _counted(self, monkeypatch, forcing):
+        import nstorus.stokes as stokes_mod
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return besov_value(*args, **kwargs)
+
+        monkeypatch.setattr(stokes_mod, "besov_value", counting)
+        value = forcing_lr_norm(forcing, PARAMS, self.TIMES)
+        monkeypatch.undo()
+        return value, len(calls)
+
+    def test_constant_random_forcing_evaluates_once(self, monkeypatch):
+        f = ForcingSpec.from_random(16, 2.4, seed=21, amplitude=0.3, band=5)
+        for part in (f, *f.split(3)):
+            value, calls = self._counted(monkeypatch, part)
+            assert calls == 1
+            assert value == _per_sample_lr_norm(part, self.TIMES)
+
+    def test_constant_multi_mode_forcing_evaluates_once(self, monkeypatch):
+        f = ForcingSpec.from_modes(16, [((1, 0), 0.4), ((2, 3), 0.1 - 0.2j), ((0, 5), 0.05j)])
+        assert len(f.components) == 3
+        value, calls = self._counted(monkeypatch, f)
+        assert calls == 1
+        assert value == _per_sample_lr_norm(f, self.TIMES)
+
+    def test_sinusoid_forcing_is_sampled(self, monkeypatch):
+        f = ForcingSpec.from_modes(16, [((1, 0), 0.4), ((2, 1), 0.3, "sinusoid", 6.0, 0.5)])
+        value, calls = self._counted(monkeypatch, f)
+        assert calls == self.TIMES.size
+        assert value == _per_sample_lr_norm(f, self.TIMES)
 
 
 def _mix(f1, f2, a, b):
