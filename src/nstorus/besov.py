@@ -1,10 +1,12 @@
 """Sobolev and Besov norms of truncated fields via dyadic frequency blocks.
 
 Norms are computed on truncated spectral approximations: an L_p norm is a
-trapezoidal sum over an oversampled grid (default twice the resolution), a
-Besov norm is an l^q sum of weighted block L_p norms over the dyadic
-decomposition.  All parameter arithmetic (s, p, q, r and embedding
-conditions) is exact rational; only norm values are floating point.
+trapezoidal sum over the quadrature grid (default m = 2N, twice the
+resolution), a Besov norm is an l^q sum of weighted block L_p norms over
+the dyadic decomposition.  All dyadic blocks of a field reach the grid
+together, in one batched irfft2.  All parameter arithmetic (s, p, q, r and
+embedding conditions) is exact rational; only norm values are floating
+point.
 
 Dyadic convention: block m > 0 holds the modes with 2^m < |k| <= 2^(m+1);
 block 0 is widened to 0 < |k| <= 2 so that |k| = 1 is covered and the
@@ -20,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ResolutionMismatch
 from .fields import GridField, SpectralField, _lattice
 
 BLOCK0_CONVENTION = "0<|k|<=2"
@@ -71,8 +74,8 @@ def index_float(x) -> float:
 
 
 @lru_cache(maxsize=None)
-def _block_masks(n: int):
-    """Boolean masks on the canonical layout, one per dyadic block."""
+def _block_masks(n: int) -> np.ndarray:
+    """Boolean masks on the canonical layout, one per dyadic block, stacked."""
     _, _, canon, kk, _, _, _ = _lattice(n)
     kk_max = int(kk[canon].max())
     bounds = []
@@ -82,14 +85,10 @@ def _block_masks(n: int):
         if b >= kk_max:
             break
         b *= 4
-    masks = []
-    lo = 0
-    for m, hi in enumerate(bounds):
-        mask = canon & (kk > lo) & (kk <= hi)
-        mask.setflags(write=False)
-        masks.append(mask)
-        lo = hi
-    return tuple(masks)
+    lows = [0] + bounds[:-1]
+    masks = np.stack([canon & (kk > lo) & (kk <= hi) for lo, hi in zip(lows, bounds)])
+    masks.setflags(write=False)
+    return masks
 
 
 def lp_norm(grid, p) -> float:
@@ -98,16 +97,20 @@ def lp_norm(grid, p) -> float:
     Accepts a GridField (vector samples, pointwise Euclidean magnitude) or a
     plain scalar sample array.
     """
-    pf = index_float(p)
-    if pf < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
     if isinstance(grid, GridField):
         mag = grid.pointwise_magnitude()
     else:
         mag = np.abs(np.asarray(grid, dtype=float))
-    m = mag.shape[0]
-    cell = (2.0 * np.pi / m) ** 2
-    return float((cell * np.sum(mag**pf)) ** (1.0 / pf))
+    return float(_lp_norms(mag, p))
+
+
+def _lp_norms(mag: np.ndarray, p) -> np.ndarray:
+    """L_p norms of magnitude samples over the last two (grid) axes."""
+    pf = index_float(p)
+    if pf < 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
+    cell = (2.0 * np.pi / mag.shape[-1]) ** 2
+    return (cell * np.sum(mag**pf, axis=(-2, -1))) ** (1.0 / pf)
 
 
 def sobolev_norm(u: SpectralField, s, p, m: int | None = None) -> float:
@@ -118,12 +121,17 @@ def sobolev_norm(u: SpectralField, s, p, m: int | None = None) -> float:
 
 
 def block_lp_norms(u: SpectralField, p, m: int | None = None) -> list[tuple[int, float]]:
-    """L_p norm of each dyadic block reconstruction (independent of s, q)."""
-    out = []
-    for blk, mask in enumerate(_block_masks(u.n)):
-        piece = SpectralField(u.n, np.where(mask, u.c, 0.0))
-        out.append((blk, lp_norm(piece.to_grid(m), p)))
-    return out
+    """L_p norm of each dyadic block reconstruction (independent of s, q).
+
+    Every block reaches the m x m grid (default 2n) in one batched irfft2.
+    """
+    m = 2 * u.n if m is None else m
+    if m < u.n:
+        raise ResolutionMismatch(f"grid size {m} < resolution {u.n}")
+    spec = u.full_coefficient_arrays(m, _block_masks(u.n))
+    values = np.fft.irfft2(spec, s=(m, m), norm="forward")
+    mag = np.sqrt(values[:, 0] ** 2 + values[:, 1] ** 2)
+    return [(blk, float(lp)) for blk, lp in enumerate(_lp_norms(mag, p))]
 
 
 @dataclass(frozen=True)

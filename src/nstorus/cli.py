@@ -36,13 +36,16 @@ from .trajectory import cumulative_trapezoid
 
 
 def _meta(scenario: Scenario | None, **extra) -> dict:
+    """Provenance of a run: the effective dt = t_final / steps, not the requested dt."""
     meta = {"version": __version__}
     if scenario is not None:
+        cfg = scenario.solver_config()
         meta.update(
             scenario_hash=scenario.digest(),
             n=scenario.n,
-            grid_m=scenario.solver_config().grid_m,
-            dt=scenario.dt,
+            grid_m=cfg.grid_m,
+            dt=cfg.t_final / cfg.steps,
+            steps=cfg.steps,
             **{f"const_{k}": v for k, v in scenario.constants.as_dict().items()},
         )
     meta.update(extra)
@@ -169,6 +172,9 @@ def cmd_solve(args) -> int:
     result = solve_local(scenario.initial_field(), scenario.forcing_spec(),
                          scenario.params, scenario.solver_config())
     p = scenario.params
+    # the local solve runs on [0, t_bar] with its own step count
+    steps = len(result.trajectory.times) - 1
+    meta = _meta(scenario, t_bar=result.t_bar, dt=result.t_bar / steps, steps=steps)
     if "trajectory" in scenario.reports:
         traj = result.trajectory
         half_e = 0.5 * traj.series(lambda u: u.energy())
@@ -176,10 +182,10 @@ def cmd_solve(args) -> int:
         traj.to_csv(out / "trajectory.csv",
                     besov_specs=[(float(-p.s + 2), float(p.p), float(p.q))],
                     extra_columns={"energy_residual": residual},
-                    meta=_meta(scenario, t_bar=result.t_bar))
+                    meta=meta)
     if "report" in scenario.reports:
         _write_json(out / "report.json", {
-            "meta": _meta(scenario),
+            "meta": meta,
             "t_bar": result.t_bar,
             "f_norm": result.f_norm,
             "epsilon": str(result.epsilon),

@@ -13,6 +13,13 @@ and the reality constraint cannot be violated by construction.
 Basis normalization is fixed here once: the velocity Fourier coefficient
 (of exp(i k.xi)) belonging to u_k is u_k * k_perp / (2*pi*|k|), and every
 norm in the package depends on that convention.
+
+Every grid transform is a real FFT on the half spectrum (m, m//2 + 1).  One
+cached plan per (n, m) holds the scatter from the canonical lattice into
+that half spectrum, the i*k multipliers and the Leray gather back out of it;
+full_coefficient_arrays is the single scatter.  A GridState carries a
+field's velocity and gradient on one grid, made by one irfft2, so that
+every product of the field reuses them.
 """
 
 from __future__ import annotations
@@ -55,24 +62,87 @@ def _lattice(n: int):
 
 
 @lru_cache(maxsize=None)
+def _kinf(n: int) -> np.ndarray:
+    """|k|_inf on the canonical layout."""
+    k1, k2, _, _, _, _, _ = _lattice(n)
+    kinf = np.maximum(np.abs(k1), np.abs(k2))
+    kinf.setflags(write=False)
+    return kinf
+
+
+@lru_cache(maxsize=None)
 def _band_mask(n: int, band: int) -> np.ndarray:
     """Modes with |k|_inf <= band on the canonical layout."""
-    k1, k2, _, _, _, _, _ = _lattice(n)
-    mask = np.maximum(np.abs(k1), np.abs(k2)) <= band
+    mask = _kinf(n) <= band
     mask.setflags(write=False)
     return mask
 
 
-def _leray_project(wx: np.ndarray, wy: np.ndarray, n: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _Plan:
+    """Index arrays between the canonical lattice of n and the m x m real-FFT grid.
+
+    Half-spectrum slots are flat indices into (m, m//2 + 1).  A canonical
+    mode k contributes W_k at k (dest_d <- src_d) and conj(W_k) at -k
+    (dest_c <- src_c), wherever that slot lies in the half spectrum; both
+    lists are sorted by |k|_inf and prefix_*[s] counts the entries with
+    |k|_inf <= s.  For 2s < m those entries hit distinct slots.  gather
+    reads every canonical slot back, conjugating (gsign = -1) where only -k
+    lies in the half spectrum.
+    """
+
+    dest_d: np.ndarray
+    src_d: np.ndarray
+    prefix_d: np.ndarray
+    dest_c: np.ndarray
+    src_c: np.ndarray
+    prefix_c: np.ndarray
+    ik: np.ndarray       # (2, m, m//2 + 1): i k1, i k2 per slot
+    gather: np.ndarray
+    gsign: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int, m: int) -> _Plan:
+    k1, k2, canon, _, _, _, _ = _lattice(n)
+    mh = m // 2 + 1
+    src = np.flatnonzero(canon)
+    a1, a2, kinf = k1.ravel()[src], k2.ravel()[src], _kinf(n).ravel()[src]
+    smax = np.arange(n // 2 + 1)
+
+    def entries(b1, b2):
+        keep = b2 % m < mh
+        order = np.argsort(kinf[keep], kind="stable")
+        dest = ((b1 % m) * mh + b2 % m)[keep][order]
+        return dest, src[keep][order], np.searchsorted(kinf[keep][order], smax, side="right")
+
+    dest_d, src_d, prefix_d = entries(a1, a2)
+    dest_c, src_c, prefix_c = entries(-a1, -a2)
+    freq = np.fft.fftfreq(m, d=1.0 / m)
+    ik = np.stack(np.broadcast_arrays(1j * freq[:, None], 1j * freq[None, :mh]))
+    g1, g2 = k1.ravel(), k2.ravel()
+    direct = g2 % m < mh
+    gather = np.where(direct, (g1 % m) * mh + g2 % m, (-g1 % m) * mh + (-g2 % m))
+    gsign = np.where(direct, 1.0, -1.0)
+    plan = _Plan(dest_d, src_d, prefix_d, dest_c, src_c, prefix_c, ik, gather, gsign)
+    for arr in vars(plan).values():
+        arr.setflags(write=False)
+    return plan
+
+
+def _leray_project(spec: np.ndarray, n: int) -> np.ndarray:
     """Basis coefficients u_k = 2 pi (W_k . k_perp) / |k| on the canonical layout.
 
-    W are velocity Fourier coefficients (of exp(i k.xi)) on an m x m FFT
-    layout; gradient parts pair to zero against the basis.
+    spec is the (2, m, m//2 + 1) half spectrum of the velocity Fourier
+    coefficients W (of exp(i k.xi)); gradient parts pair to zero against
+    the basis.
     """
     k1a, k2a, _, _, kabs, _, _ = _lattice(n)
-    m = wx.shape[0]
-    i1, i2 = k1a % m, k2a % m
-    return TWO_PI * (wx[i1, i2] * (-k2a) + wy[i1, i2] * k1a) / kabs
+    plan = _plan(n, spec.shape[-2])
+    w = spec.reshape(2, -1)[:, plan.gather]
+    w.imag *= plan.gsign
+    wx, wy = w.reshape((2,) + k1a.shape)
+    return TWO_PI * (wx * (-k2a) + wy * k1a) / kabs
 
 
 def canonical_shape(n: int) -> tuple[int, int]:
@@ -92,7 +162,7 @@ class SpectralField:
     real scalars (complex scalars would break the reality constraint).
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "c", "_max_mode_inf")
 
     def __init__(self, n: int, coeffs: np.ndarray):
         k1, k2, canon, _, _, _, _ = _lattice(n)
@@ -174,11 +244,14 @@ class SpectralField:
 
     @property
     def max_mode_inf(self) -> int:
-        k1a, k2a, _, _, _, _, _ = _lattice(self.n)
-        nz = self.c != 0
-        if not nz.any():
-            return 0
-        return int(np.max(np.maximum(np.abs(k1a), np.abs(k2a))[nz]))
+        """The |k|_inf support: largest |k|_inf with a nonzero coefficient (0 if none)."""
+        try:
+            return self._max_mode_inf
+        except AttributeError:
+            kinf = _kinf(self.n)[self.c != 0]
+            support = int(kinf.max()) if kinf.size else 0
+            object.__setattr__(self, "_max_mode_inf", support)
+            return support
 
     def is_zero(self) -> bool:
         return not np.any(self.c)
@@ -264,29 +337,33 @@ class SpectralField:
 
     # -- grid transforms -------------------------------------------------------
 
-    def full_coefficient_arrays(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Velocity Fourier coefficients (of exp(i k.xi)) on the m x m FFT layout."""
-        if m < self.n:
-            raise ResolutionMismatch(f"grid size {m} < resolution {self.n}")
-        k1a, k2a, canon, _, _, phi1, phi2 = _lattice(self.n)
-        w1 = self.c * phi1
-        w2 = self.c * phi2
-        cx = np.zeros((m, m), dtype=np.complex128)
-        cy = np.zeros((m, m), dtype=np.complex128)
-        i1c, i2c = k1a[canon] % m, k2a[canon] % m
-        i1p, i2p = (-k1a[canon]) % m, (-k2a[canon]) % m
-        if m >= self.n + 1:
-            cx[i1c, i2c] = w1[canon]
-            cy[i1c, i2c] = w2[canon]
-            cx[i1p, i2p] += np.conj(w1[canon])
-            cy[i1p, i2p] += np.conj(w2[canon])
+    def full_coefficient_arrays(self, m: int, masks: np.ndarray | None = None) -> np.ndarray:
+        """Velocity Fourier coefficients (of exp(i k.xi)) on the m x m real-FFT half spectrum.
+
+        Returns the (2, m, m//2 + 1) stack; with masks, a stack of weights on
+        the canonical layout, one such pair per mask.  Each slot holds the sum
+        of the coefficients that alias onto it, so irfft2 gives exact samples
+        on any grid.
+        """
+        n = self.n
+        _, _, _, _, _, phi1, phi2 = _lattice(n)
+        plan = _plan(n, m)
+        c = self.c if masks is None else self.c * masks
+        w = np.stack([c * phi1, c * phi2], axis=-3)
+        lead = w.shape[:-2]
+        w = w.reshape(lead + (-1,))
+        out = np.zeros(lead + (m * (m // 2 + 1),), dtype=np.complex128)
+        s = n // 2 if m > n else self.max_mode_inf
+        if 2 * s < m:
+            ed, ec = plan.prefix_d[s], plan.prefix_c[s]
+            out[..., plan.dest_d[:ed]] = w[..., plan.src_d[:ed]]
+            out[..., plan.dest_c[:ec]] = w[..., plan.src_c[:ec]].conj()
         else:
-            # m == n: Nyquist partners alias onto shared slots
-            np.add.at(cx, (i1c, i2c), w1[canon])
-            np.add.at(cy, (i1c, i2c), w2[canon])
-            np.add.at(cx, (i1p, i2p), np.conj(w1[canon]))
-            np.add.at(cy, (i1p, i2p), np.conj(w2[canon]))
-        return cx, cy
+            # modes on or past the Nyquist line share slots
+            flat, wf = out.reshape(-1, out.shape[-1]), w.reshape(-1, w.shape[-1])
+            np.add.at(flat, (slice(None), plan.dest_d), wf[:, plan.src_d])
+            np.add.at(flat, (slice(None), plan.dest_c), wf[:, plan.src_c].conj())
+        return out.reshape(lead + (m, m // 2 + 1))
 
     def to_grid(self, m: int | None = None) -> "GridField":
         """Evaluate the field on the uniform m x m grid of [0, 2pi)^2.
@@ -296,10 +373,25 @@ class SpectralField:
         """
         if m is None:
             m = 2 * self.n
-        cx, cy = self.full_coefficient_arrays(m)
-        vx = np.fft.ifft2(cx).real * (m * m)
-        vy = np.fft.ifft2(cy).real * (m * m)
-        return GridField(np.stack([vx, vy], axis=-1))
+        if m < self.n:
+            raise ResolutionMismatch(f"grid size {m} < resolution {self.n}")
+        values = np.fft.irfft2(self.full_coefficient_arrays(m), s=(m, m), norm="forward")
+        return GridField(np.moveaxis(values, 0, -1))
+
+    def grid_state(self, m: int) -> "GridState":
+        """Velocity and gradient on the m x m grid, from one irfft2.
+
+        The support must lie strictly inside m/2, where i*k differentiates
+        exactly.
+        """
+        support = self.max_mode_inf
+        if 2 * support >= m:
+            raise ResolutionMismatch(f"grid size {m} does not resolve support {support} below m/2")
+        w = self.full_coefficient_arrays(m)
+        ik = _plan(self.n, m).ik
+        spec = np.concatenate([w, ik * w[0], ik * w[1]])
+        values = np.fft.irfft2(spec, s=(m, m), norm="forward")
+        return GridState(self.n, support, values)
 
     @classmethod
     def from_grid(cls, grid: "GridField", n: int) -> "SpectralField":
@@ -311,9 +403,8 @@ class SpectralField:
         m = grid.m
         if m < n:
             raise ResolutionMismatch(f"grid size {m} < resolution {n}")
-        cx = np.fft.fft2(grid.values[:, :, 0]) / (m * m)
-        cy = np.fft.fft2(grid.values[:, :, 1]) / (m * m)
-        return cls(n, _leray_project(cx, cy, n))
+        spec = np.fft.rfft2(np.moveaxis(grid.values, -1, 0), norm="forward")
+        return cls(n, _leray_project(spec, n))
 
     # -- stream function --------------------------------------------------------
 
@@ -354,6 +445,23 @@ class GridField:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+@dataclass(frozen=True)
+class GridState:
+    """A field's velocity and gradient on the m x m grid, ready for products.
+
+    values is the real (6, m, m) stack [u1, u2, d1 u1, d2 u1, d1 u2, d2 u2];
+    max_mode_inf is the field's |k|_inf support, below m/2.
+    """
+
+    n: int
+    max_mode_inf: int
+    values: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.values.shape[-1]
 
 
 def grid_nodes(m: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """The bilinear advection operator, its brute-force oracle, and estimate harnesses.
 
 B(u, v) projects (u . grad) v back onto the divergence-free basis.  The
-pseudo-spectral path evaluates the product on an oversampled grid and keeps
-only modes with |k|_inf <= N/3 (the 2/3 rule): on that band the result is
-the exact Galerkin convolution, which is what restores the trilinear
-antisymmetry the energy arguments need.  The oracle computes the same
-convolution as a literal double sum over mode pairs.
+pseudo-spectral path multiplies the grid states of u and v on the smallest
+grid that leaves no aliased product inside the retained band
+|k|_inf <= band (the aliasing count behind the 2/3 rule), so on that band
+the result is the exact Galerkin convolution, which is what restores the
+trilinear antisymmetry the energy arguments need.  The oracle computes the
+same convolution as a literal double sum over mode pairs.
 
 The inequality constants of the estimate chain are never known numbers;
 the harnesses here measure them over seeded random ensembles and report
@@ -25,6 +26,7 @@ from .besov import as_fraction, besov_value
 from .errors import OracleCapExceeded, ResolutionMismatch
 from .fields import (
     TWO_PI,
+    GridState,
     SpectralField,
     _band_mask,
     _lattice,
@@ -40,31 +42,46 @@ def dealias_band(n: int) -> int:
     return n // 3
 
 
-def bilinear_b(u: SpectralField, v: SpectralField, band: int | None = None,
-               m: int | None = None) -> SpectralField:
+def product_grid(s_u: int, s_v: int, band: int) -> int:
+    """Smallest even grid m on which B(u, v) is exact on |k|_inf <= band.
+
+    With |k|_inf supports s_u and s_v the product has support s_u + s_v, and
+    an alias k + m j of it reaches the band only if m <= s_u + s_v + band.
+    m > 2 max(s_u, s_v) keeps both inputs off the Nyquist line.
+    """
+    m = max(s_u + s_v + band + 1, 2 * max(s_u, s_v) + 1)
+    return m + m % 2
+
+
+def grid_states(fields, band: int) -> tuple:
+    """Grid states of fields on one grid, exact for every product among them."""
+    s = max(f.max_mode_inf for f in fields)
+    m = product_grid(s, s, band)
+    return tuple(f.grid_state(m) for f in fields)
+
+
+def bilinear_b(u: SpectralField | GridState, v: SpectralField | GridState,
+               band: int | None = None) -> SpectralField:
     """B(u, v) = P[(u . grad) v], dealiased to |k|_inf <= band.
 
-    The default grid m = 2N leaves no aliased product inside the retained
-    band, so the output equals the exact truncated convolution.
+    u and v are fields or prebuilt grid states.  Fields are put on the grid
+    of product_grid (one state when u is v); prebuilt states set the grid,
+    which must be exact for both supports.
     """
     if u.n != v.n:
         raise ResolutionMismatch(f"resolutions differ: {u.n} vs {v.n}")
     n = u.n
     band = dealias_band(n) if band is None else band
-    m = 2 * n if m is None else m
-    cux, cuy = u.full_coefficient_arrays(m)
-    cvx, cvy = v.full_coefficient_arrays(m)
-    scale = m * m
-    ux = np.fft.ifft2(cux).real * scale
-    uy = np.fft.ifft2(cuy).real * scale
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    ikx = 1j * k[:, None]
-    iky = 1j * k[None, :]
-    w1 = ux * (np.fft.ifft2(ikx * cvx).real * scale) + uy * (np.fft.ifft2(iky * cvx).real * scale)
-    w2 = ux * (np.fft.ifft2(ikx * cvy).real * scale) + uy * (np.fft.ifft2(iky * cvy).real * scale)
-    wx = np.fft.fft2(w1) / scale
-    wy = np.fft.fft2(w2) / scale
-    return SpectralField(n, np.where(_band_mask(n, band), _leray_project(wx, wy, n), 0.0))
+    need = product_grid(u.max_mode_inf, v.max_mode_inf, band)
+    m = next((x.m for x in (u, v) if isinstance(x, GridState)), need)
+    gu = u if isinstance(u, GridState) else u.grid_state(m)
+    gv = gu if v is u else v if isinstance(v, GridState) else v.grid_state(m)
+    if gv.m != m or m < need:
+        raise ResolutionMismatch(f"grid states on {gu.m} and {gv.m}; the product needs {need}")
+    uu, vv = gu.values, gv.values
+    w = uu[0] * vv[2::2] + uu[1] * vv[3::2]
+    spec = np.fft.rfft2(w, norm="forward")
+    return SpectralField(n, np.where(_band_mask(n, band), _leray_project(spec, n), 0.0))
 
 
 def bilinear_b_oracle(u: SpectralField, v: SpectralField, band: int | None = None,
@@ -115,9 +132,9 @@ def bilinear_b_oracle(u: SpectralField, v: SpectralField, band: int | None = Non
 
 
 def trilinear(u: SpectralField, v: SpectralField, w: SpectralField,
-              band: int | None = None, m: int | None = None) -> float:
+              band: int | None = None) -> float:
     """<B(u, v), w> via the spectral inner product (real by reality)."""
-    return bilinear_b(u, v, band=band, m=m).inner(w)
+    return bilinear_b(u, v, band=band).inner(w)
 
 
 # -- estimate harnesses -----------------------------------------------------------

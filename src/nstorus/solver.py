@@ -40,7 +40,14 @@ from .errors import (
     SmallnessViolation,
 )
 from .fields import SpectralField, gamma_for_regularity, random_field
-from .nonlinear import EnsembleSpec, bilinear_b, dealias_band, energy_lemma_ensemble
+from .nonlinear import (
+    EnsembleSpec,
+    bilinear_b,
+    dealias_band,
+    energy_lemma_ensemble,
+    grid_states,
+    product_grid,
+)
 from .stokes import (
     ForcingSpec,
     SampledForcing,
@@ -72,11 +79,11 @@ class EmpiricalConstants:
 # Frozen from estimate_empirical_constants(BesovParams('4/3','5/2','3','3'),
 # n=32, count=64, seed=2024); the x2 safety factor is already included.
 DEFAULT_CONSTANTS = EmpiricalConstants(
-    norm_inv_d0phi=1.2769475530436911,
-    c1=0.08540805172378167,
-    c2=0.19813420210065547,
-    c3=1.2938890668858265,
-    c_energy=5.689745255312255e-05,
+    norm_inv_d0phi=1.276947553043691,
+    c1=0.08540805172378166,
+    c2=0.1981342021006554,
+    c3=1.2938890668858263,
+    c_energy=5.6897452553122534e-05,
     c_ladyzhenskaya=0.2077355105547123,
 )
 
@@ -87,7 +94,6 @@ class SolverConfig:
     dt: float = 1e-3
     t_final: float = 1.0
     dealias: int | None = None      # retained band, default n // 3
-    oversample: int = 2             # product evaluation grid m = oversample * n
     picard_tol: float = 1e-9
     picard_max_iter: int = 60
     constants: EmpiricalConstants = DEFAULT_CONSTANTS
@@ -108,7 +114,8 @@ class SolverConfig:
 
     @property
     def grid_m(self) -> int:
-        return self.oversample * self.n
+        """Product grid of states confined to the band."""
+        return product_grid(self.band, self.band, self.band)
 
     @property
     def steps(self) -> int:
@@ -187,24 +194,37 @@ def integrate(u0: SpectralField, nonlin, t_final: float, steps: int, band: int,
                       acc={k: np.array(v) for k, v in acc_series.items()})
 
 
-def _band_forcing_value(forcing, t: float, band: int) -> SpectralField:
-    return forcing.field_at(t).truncated_inf(band)
+def _band_forcing(forcing, band: int):
+    """t -> forcing.field_at(t) cut to |k|_inf <= band.
+
+    A steady forcing is the same field at every t, so it is built once.
+    """
+    if isinstance(forcing, ForcingSpec) and forcing.is_steady():
+        value = forcing.field_at(0.0).truncated_inf(band)
+        return lambda t: value
+    return lambda t: forcing.field_at(t).truncated_inf(band)
 
 
 def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
                  record_stages: bool = False, monitor: bool = False) -> Trajectory:
     """Direct integration of the full equation u' + Au + B(u,u) = f on the band."""
-    band, m = config.band, config.grid_m
+    band = config.band
+    force = _band_forcing(forcing, band)
+    # Stepper.step evaluates all four stages before the accumulators, so the
+    # work integrand reads the current step's B(u,u) of its stage from here.
+    stage_b: dict = {}
 
     def nonlin(u, t, i, stage):
-        return _band_forcing_value(forcing, t, band) - bilinear_b(u, u, band=band, m=m)
+        b = bilinear_b(u, u, band=band)
+        stage_b[stage] = b
+        return force(t) - b
 
     acc = None
     if monitor:
         acc = {
             "visc": lambda u, t, i, stage: u.h_norm(1.0) ** 2,
-            "work_f": lambda u, t, i, stage: _band_forcing_value(forcing, t, band).inner(u),
-            "work_b": lambda u, t, i, stage: bilinear_b(u, u, band=band, m=m).inner(u),
+            "work_f": lambda u, t, i, stage: force(t).inner(u),
+            "work_b": lambda u, t, i, stage: stage_b[stage].inner(u),
         }
     return integrate(u0, nonlin, config.t_final, config.steps, band,
                      acc_fns=acc, record_stages=record_stages)
@@ -266,7 +286,7 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
     Convergence is measured in the discrete graph norm of the difference;
     the recorded factors are ratios of consecutive difference norms.
     """
-    band, m = config.band, config.grid_m
+    band = config.band
     times = np.linspace(0.0, t_bar, steps + 1)
 
     def graph_norm(fields_a, fields_b, rhs_a, rhs_b):
@@ -274,6 +294,7 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
                           derivs=[pa - pb for pa, pb in zip(rhs_a, rhs_b)])
         return diff.w1r_norm(params)
 
+    force = _band_forcing(forcing, band)
     u0b = u0.truncated_inf(band)
     current = [semigroup(u0b, float(t)) for t in times]
     derivs = [-apply_a(f) for f in current]
@@ -284,7 +305,7 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
     for it in range(config.picard_max_iter):
         iterations = it + 1
         rhs_fields = [
-            _band_forcing_value(forcing, float(t), band) - bilinear_b(w, w, band=band, m=m)
+            force(float(t)) - bilinear_b(w, w, band=band)
             for t, w in zip(times, current)
         ]
         sol = stokes_solve(u0b, SampledForcing(times, rhs_fields), t_bar, steps)
@@ -376,10 +397,11 @@ def solve_y(y0: SpectralField, h: ForcingSpec, params, config: SolverConfig) -> 
         raise SmallnessViolation(
             f"forcing norm {h_norm:.3e} exceeds threshold {config.smallness_h:.3e}"
         )
-    band, m = config.band, config.grid_m
+    band = config.band
+    force = _band_forcing(h, band)
 
     def nonlin(y, t, i, stage):
-        return _band_forcing_value(h, t, band) - bilinear_b(y, y, band=band, m=m)
+        return force(t) - bilinear_b(y, y, band=band)
 
     return integrate(y0, nonlin, config.t_final, config.steps, band, record_stages=True)
 
@@ -435,20 +457,22 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y_traj: Trajectory, params,
     steps = config.steps
     if len(y_traj.fields) != steps + 1:
         raise ResolutionMismatch("y trajectory grid does not match the solver grid")
-    band, m = config.band, config.grid_m
+    band = config.band
+    force = _band_forcing(g, band)
     # Stepper.step evaluates all four stages before the accumulators, so the
     # work integrand reads B(x,x) and y of the current step's stage from here.
     stage_bxx: dict = {}
 
     def nonlin(x, t, i, stage):
         y = _stage_field(y_traj, i, stage) if i < steps else y_traj.fields[-1]
-        bxx = bilinear_b(x, x, band=band, m=m)
+        gx, gy = grid_states((x, y), band)
+        bxx = bilinear_b(gx, gx, band=band)
         stage_bxx[stage] = (y, bxx)
         return (
-            _band_forcing_value(g, t, band)
+            force(t)
             - bxx
-            - bilinear_b(x, y, band=band, m=m)
-            - bilinear_b(y, x, band=band, m=m)
+            - bilinear_b(gx, gy, band=band)
+            - bilinear_b(gy, gx, band=band)
         )
 
     def acc_visc(x, t, i, stage):
@@ -459,7 +483,7 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y_traj: Trajectory, params,
         return bxx.inner(y)
 
     def acc_work_g(x, t, i, stage):
-        return _band_forcing_value(g, t, band).inner(x)
+        return force(t).inner(x)
 
     x0b = x0.truncated_inf(band)
     traj = integrate(
@@ -485,8 +509,8 @@ def build_energy_monitor(traj: Trajectory, y_traj: Trajectory, g: ForcingSpec,
     residuals = (lhs - rhs) / scale
     # a priori envelope: ||x(t)||^2 <= (||x0||^2 + 2 int ||g||^2_{H-1}) exp(2 c int ||y||^r)
     times = traj.times
-    band = config.band
-    g_vals = [g.field_at(float(t)).truncated_inf(band).h_norm(-1.0) ** 2 for t in times]
+    force = _band_forcing(g, config.band)
+    g_vals = [force(float(t)).h_norm(-1.0) ** 2 for t in times]
     g_int = cumulative_trapezoid(times, g_vals)
     sigma = Fraction(2) / params.p + Fraction(2) / params.r - 1
     y_vals = y_traj.besov_series(sigma, params.p, params.r) ** float(params.r)
@@ -558,13 +582,14 @@ def uniqueness_probe(u_traj: Trajectory, ut_traj: Trajectory, params, config: So
     if len(u_traj.fields) != len(ut_traj.fields):
         raise ResolutionMismatch("trajectories must share the sample grid")
     steps = len(u_traj.fields) - 1
-    band, m = config.band, config.grid_m
+    band = config.band
     t_final = u_traj.t_final
 
     def nonlin_delta(d, t, i, stage):
         u = _stage_field(u_traj, i, stage) if i < steps else u_traj.fields[-1]
         ut = _stage_field(ut_traj, i, stage) if i < steps else ut_traj.fields[-1]
-        return -bilinear_b(u, d, band=band, m=m) - bilinear_b(d, ut, band=band, m=m)
+        gu, gd, gt = grid_states((u, d, ut), band)
+        return -bilinear_b(gu, gd, band=band) - bilinear_b(gd, gt, band=band)
 
     zero_traj = integrate(SpectralField.zeros(u_traj.n), nonlin_delta, t_final, steps, band)
     zero_exact = all(not np.any(f.c) for f in zero_traj.fields)

@@ -122,6 +122,10 @@ class ForcingSpec:
     def is_zero(self) -> bool:
         return all(c.profile.is_zero() for c in self.components)
 
+    def is_steady(self) -> bool:
+        """True when every component has the constant law: field_at is then one field."""
+        return all(c.law == "constant" for c in self.components)
+
     def field_at(self, t: float) -> SpectralField:
         out = SpectralField.zeros(self.n)
         for comp in self.components:
@@ -174,7 +178,7 @@ def forcing_lr_norm(forcing, params, times, m: int | None = None) -> float:
     def norm_at(t):
         return besov_value(forcing.field_at(float(t)), -params.s, params.p, params.q, m)
 
-    if isinstance(forcing, ForcingSpec) and all(c.law == "constant" for c in forcing.components):
+    if isinstance(forcing, ForcingSpec) and forcing.is_steady():
         vals = np.full(len(times), norm_at(times[0]))
     else:
         vals = np.array([norm_at(t) for t in times])

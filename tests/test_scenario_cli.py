@@ -152,6 +152,14 @@ class TestCli:
         assert {"scenario_hash", "version", "n", "grid_m", "dt"} <= set(meta)
         assert any(key.startswith("const_") for key in meta)
 
+    def test_meta_records_the_dt_that_ran(self):
+        from nstorus.cli import _meta
+
+        meta = _meta(Scenario(dt=0.3, t_final=1.0))
+        assert meta["steps"] == 3
+        assert meta["dt"] == 1.0 / 3
+        assert meta["grid_m"] == 32
+
     def test_stokes_artifacts(self, tmp_path):
         scn = tmp_path / "demo.scn"
         scn.write_text(SCENARIO_TEXT + "snapshot_times = 0.0 0.1\n")
