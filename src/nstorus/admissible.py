@@ -119,11 +119,7 @@ def check_local(params: BesovParams) -> AdmissibilityReport:
         _check("5", "2 < s + 2/p + 2/r", Fraction(2), s + x + y, "<"),
         _check("6", "3 < s + 2/p + 4/r", Fraction(3), s + x + 2 * y, "<"),
     )
-    report = AdmissibilityReport(params, "local", checks, params.initial_regularity, None)
-    if report.all_pass:
-        report = AdmissibilityReport(params, "local", checks, params.initial_regularity,
-                                     derive_exponents(params, _gate_checked=True))
-    return report
+    return _report(params, "local", checks)
 
 
 def check_global(params: BesovParams) -> AdmissibilityReport:
@@ -140,14 +136,16 @@ def check_global(params: BesovParams) -> AdmissibilityReport:
         _check("g7", "s + 2/p + 2/r < 3", s + x + y, Fraction(3), "<"),
         _check("g8", "3 < s + 2/p + 4/r", Fraction(3), s + x + 2 * y, "<"),
     )
-    report = AdmissibilityReport(params, "global", checks, params.initial_regularity, None)
-    if report.all_pass:
-        report = AdmissibilityReport(params, "global", checks, params.initial_regularity,
-                                     derive_exponents(params, _gate_checked=True))
-    return report
+    return _report(params, "global", checks)
 
 
-def derive_exponents(params: BesovParams, pair: tuple | None = None, _gate_checked: bool = False) -> Exponents:
+def _report(params: BesovParams, gate: str, checks: tuple) -> AdmissibilityReport:
+    """Gate report; the symmetric exponents are derived when every check passes."""
+    exps = _exponents(params, None) if all(c.verdict == PASS for c in checks) else None
+    return AdmissibilityReport(params, gate, checks, params.initial_regularity, exps)
+
+
+def derive_exponents(params: BesovParams, pair: tuple | None = None) -> Exponents:
     """Exponents (a, b, alpha, beta, epsilon) for the bilinear estimate chain.
 
     Default is the symmetric choice a = b = 1/p + 1/2 - s/2; an explicit
@@ -160,14 +158,19 @@ def derive_exponents(params: BesovParams, pair: tuple | None = None, _gate_check
         a + b > 0
 
     is verified exactly; any violation is an internal consistency failure
-    for gate-passing parameters and raises InadmissibleParams.
+    for gate-passing parameters and raises InadmissibleParams.  The local
+    gate must pass first.
     """
-    if not _gate_checked:
-        rep = check_local(params)
-        if not rep.all_pass:
-            raise InadmissibleParams(
-                f"local gate not satisfied: failed={rep.failed_ids} boundary={rep.boundary_ids}"
-            )
+    rep = check_local(params)
+    if not rep.all_pass:
+        raise InadmissibleParams(
+            f"local gate not satisfied: failed={rep.failed_ids} boundary={rep.boundary_ids}"
+        )
+    return rep.exponents if pair is None else _exponents(params, pair)
+
+
+def _exponents(params: BesovParams, pair: tuple | None) -> Exponents:
+    """The exponent system of derive_exponents, with no gate check."""
     s, p, r = params.s, params.p, params.r
     if pair is None:
         a = Fraction(1) / p + Fraction(1, 2) - s / 2

@@ -1,12 +1,12 @@
 """Sobolev and Besov norms of truncated fields via dyadic frequency blocks.
 
 Norms are computed on truncated spectral approximations: an L_p norm is a
-trapezoidal sum over the quadrature grid (default m = 2N, twice the
-resolution), a Besov norm is an l^q sum of weighted block L_p norms over
-the dyadic decomposition.  All dyadic blocks of a field reach the grid
-together, in one batched irfft2.  All parameter arithmetic (s, p, q, r and
-embedding conditions) is exact rational; only norm values are floating
-point.
+trapezoidal sum over the quadrature grid, a Besov norm is an l^q sum of
+weighted block L_p norms over the dyadic decomposition.  Besov and Sobolev
+norms of a resolution-N field always use the grid m = 2N, and all dyadic
+blocks of a field reach it together, in one batched irfft2.  All parameter
+arithmetic (s, p, q, r and embedding conditions) is exact rational; only
+norm values are floating point.
 
 Dyadic convention: block m > 0 holds the modes with 2^m < |k| <= 2^(m+1);
 block 0 is widened to 0 < |k| <= 2 so that |k| = 1 is covered and the
@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ResolutionMismatch
 from .fields import GridField, SpectralField, _lattice
 
 BLOCK0_CONVENTION = "0<|k|<=2"
@@ -113,21 +112,19 @@ def _lp_norms(mag: np.ndarray, p) -> np.ndarray:
     return (cell * np.sum(mag**pf, axis=(-2, -1))) ** (1.0 / pf)
 
 
-def sobolev_norm(u: SpectralField, s, p, m: int | None = None) -> float:
+def sobolev_norm(u: SpectralField, s, p) -> float:
     """H^s_p norm: the L_p norm of the field with coefficients u_k |k|^s."""
     sf = index_float(s)
     weighted = u.scale_radial(u.radial_weights(lambda kk: kk.astype(float) ** (sf / 2.0)))
-    return lp_norm(weighted.to_grid(m), p)
+    return lp_norm(weighted.to_grid(), p)
 
 
-def block_lp_norms(u: SpectralField, p, m: int | None = None) -> list[tuple[int, float]]:
+def block_lp_norms(u: SpectralField, p) -> list[tuple[int, float]]:
     """L_p norm of each dyadic block reconstruction (independent of s, q).
 
-    Every block reaches the m x m grid (default 2n) in one batched irfft2.
+    Every block reaches the 2n x 2n grid in one batched irfft2.
     """
-    m = 2 * u.n if m is None else m
-    if m < u.n:
-        raise ResolutionMismatch(f"grid size {m} < resolution {u.n}")
+    m = 2 * u.n
     spec = u.full_coefficient_arrays(m, _block_masks(u.n))
     values = np.fft.irfft2(spec, s=(m, m), norm="forward")
     mag = np.sqrt(values[:, 0] ** 2 + values[:, 1] ** 2)
@@ -163,27 +160,26 @@ class NormReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def besov_norm(u: SpectralField, s, p, q, m: int | None = None) -> NormReport:
+def besov_norm(u: SpectralField, s, p, q) -> NormReport:
     """B^s_{p,q} norm: (sum_m (2^(m s) ||block_m u||_{L_p})^q)^(1/q)."""
     sf, qf = index_float(s), index_float(q)
     if qf < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    m_eff = 2 * u.n if m is None else m
-    block_lp = block_lp_norms(u, p, m_eff)
+    block_lp = block_lp_norms(u, p)
     return NormReport(
         kind="besov",
         s=as_fraction(s) if isinstance(s, (int, str, Fraction)) else None,
         p=as_fraction(p) if isinstance(p, (int, str, Fraction)) else None,
         q=as_fraction(q) if isinstance(q, (int, str, Fraction)) else None,
         n=u.n,
-        m=m_eff,
+        m=2 * u.n,
         value=besov_from_block_lp(block_lp, s, q),
         blocks=tuple((blk, lp, (2.0 ** (blk * sf)) * lp) for blk, lp in block_lp),
     )
 
 
-def besov_value(u: SpectralField, s, p, q, m: int | None = None) -> float:
-    return besov_norm(u, s, p, q, m).value
+def besov_value(u: SpectralField, s, p, q) -> float:
+    return besov_norm(u, s, p, q).value
 
 
 def besov_from_block_lp(block_lp: list[tuple[int, float]], s, q) -> float:
@@ -254,7 +250,7 @@ class InterpolationReport:
     norms: tuple  # (low, mid, high)
 
 
-def interpolation_ratio(u: SpectralField, s0, s1, theta, p, q, m: int | None = None) -> InterpolationReport:
+def interpolation_ratio(u: SpectralField, s0, s1, theta, p, q) -> InterpolationReport:
     """Ratio ||u||_{B^{s_theta}} / (||u||_{B^{s0}}^(1-theta) ||u||_{B^{s1}}^theta).
 
     For endpoints sharing (p, q) the per-block Hoelder inequality makes the
@@ -267,7 +263,7 @@ def interpolation_ratio(u: SpectralField, s0, s1, theta, p, q, m: int | None = N
         return InterpolationReport(False, None,
                                    (1 - th) * index_float(s0) + th * index_float(s1),
                                    (0.0, 0.0, 0.0))
-    block_lp = block_lp_norms(u, p, m)
+    block_lp = block_lp_norms(u, p)
     s_mid = (1 - th) * index_float(s0) + th * index_float(s1)
     lo = besov_from_block_lp(block_lp, s0, q)
     hi = besov_from_block_lp(block_lp, s1, q)

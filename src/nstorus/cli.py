@@ -1,10 +1,12 @@
 """Command-line surface tying the modules together.
 
 Exit codes: 0 on success, 1 when a requested check yields FAIL verdicts
-(or a gate rejects the parameters), 2 on runtime or parse errors.  All
-artifacts are deterministic for a given scenario and seed, and embed the
-scenario hash, package version, resolution, evaluation grid, time step
-and the empirical-constant values in use.
+(or a gate rejects the parameters), 2 on runtime or parse errors.
+Package errors (NstorusError), bad input and missing files print
+"error: <type>: <message>"; "unexpected error" means a program fault.
+All artifacts are deterministic for a given scenario and seed, and embed
+the scenario hash, package version, resolution, evaluation grid, time
+step and the empirical-constant values in use.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .admissible import (
     scan_region,
 )
 from .besov import BesovParams, as_fraction, besov_norm, lp_norm, sobolev_norm
-from .errors import InadmissibleParams
+from .errors import NstorusError
 from .fields import load_snapshot, random_field, save_snapshot
 from .nonlinear import EnsembleSpec, energy_lemma_ensemble, verify_estimate_chain
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario
 from .solver import regularity_norms_y, solve_direct, solve_local, solve_split, uniqueness_probe
 from .stokes import stokes_solve
 from .trajectory import cumulative_trapezoid
@@ -39,14 +41,14 @@ def _meta(scenario: Scenario | None, **extra) -> dict:
     """Provenance of a run: the effective dt = t_final / steps, not the requested dt."""
     meta = {"version": __version__}
     if scenario is not None:
-        cfg = scenario.solver_config()
+        cfg = scenario.solver
         meta.update(
             scenario_hash=scenario.digest(),
-            n=scenario.n,
+            n=cfg.n,
             grid_m=cfg.grid_m,
             dt=cfg.t_final / cfg.steps,
             steps=cfg.steps,
-            **{f"const_{k}": v for k, v in scenario.constants.as_dict().items()},
+            **{f"const_{k}": v for k, v in cfg.constants.as_dict().items()},
         )
     meta.update(extra)
     return meta
@@ -119,7 +121,7 @@ def cmd_stokes(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     u0 = scenario.initial_field()
     forcing = scenario.forcing_spec()
-    traj = stokes_solve(u0, forcing, scenario.t_final, scenario.solver_config().steps)
+    traj = stokes_solve(u0, forcing, scenario.solver.t_final, scenario.solver.steps)
     p = scenario.params
     if "trajectory" in scenario.reports:
         traj.to_csv(out / "trajectory.csv",
@@ -170,7 +172,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = solve_local(scenario.initial_field(), scenario.forcing_spec(),
-                         scenario.params, scenario.solver_config())
+                         scenario.params, scenario.solver)
     p = scenario.params
     # the local solve runs on [0, t_bar] with its own step count
     steps = len(result.trajectory.times) - 1
@@ -205,7 +207,7 @@ def cmd_solve_split(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = solve_split(scenario.initial_field(), scenario.forcing_spec(),
-                         scenario.params, scenario.solver_config())
+                         scenario.params, scenario.solver)
     mon = result.x_result.monitor
     if "trajectory" in scenario.reports:
         result.direct.to_csv(out / "direct.csv", meta=_meta(scenario))
@@ -257,11 +259,11 @@ def cmd_uniqueness_probe(args) -> int:
         return bad
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = scenario.solver_config()
+    cfg = scenario.solver
     u0 = scenario.initial_field()
     forcing = scenario.forcing_spec()
     traj = solve_direct(u0, forcing, cfg, record_stages=True)
-    delta0 = random_field(scenario.n, 3.0, scenario.seed + 99, band=cfg.band,
+    delta0 = random_field(cfg.n, 3.0, scenario.seed + 99, band=cfg.band,
                           amplitude=args.delta_amplitude)
     report = uniqueness_probe(traj, traj, scenario.params, cfg, delta0=delta0,
                               num_halvings=args.halvings)
@@ -390,8 +392,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, FileNotFoundError, ValueError, InadmissibleParams) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NstorusError, FileNotFoundError, ValueError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,7 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; all derive from NstorusError."""
 
 
-class SpectralError(Exception):
+class NstorusError(Exception):
+    """Base class of every error the package raises on purpose."""
+
+
+class SpectralError(NstorusError):
     """Base class for field construction and transform errors."""
 
 
@@ -18,28 +22,28 @@ class ResolutionMismatch(SpectralError):
 
 
 class OracleCapExceeded(SpectralError):
-    """Brute-force oracle refused a resolution above its configured cap."""
+    """Brute-force oracle refused a resolution above its fixed cap (nonlinear.ORACLE_CAP)."""
 
 
-class InadmissibleParams(Exception):
+class InadmissibleParams(NstorusError):
     """Parameter tuple failed the required admissibility gate."""
 
 
-class SmallnessBoundViolation(Exception):
+class SmallnessBoundViolation(NstorusError):
     """No positive local time satisfies the smallness bound at the configured constants."""
 
 
-class NonConvergent(Exception):
+class NonConvergent(NstorusError):
     """Picard iteration exhausted its budget without meeting tolerance."""
 
 
-class CutoffExhausted(Exception):
+class CutoffExhausted(NstorusError):
     """Splitting cutoff reached the resolution limit before meeting the target."""
 
 
-class SmallnessViolation(Exception):
+class SmallnessViolation(NstorusError):
     """Rough-part data exceeded the configured smallness thresholds."""
 
 
-class NonFiniteField(Exception):
+class NonFiniteField(NstorusError):
     """A field coefficient became non-finite (blow-up signal)."""

@@ -557,14 +557,14 @@ def random_field(
     return SpectralField(n, np.where(canon, c, 0.0))
 
 
-def gamma_for_regularity(sigma: float, margin: float = 0.5) -> float:
+def gamma_for_regularity(sigma: float) -> float:
     """Power-law exponent putting random fields near regularity sigma.
 
     A field with |u_k| ~ |k|^(-gamma) has dyadic block L2 norms ~ 2^(m(1-gamma)),
-    so its B^sigma norms are marginal at gamma = sigma + 1; the margin keeps
-    truncated norms convergent across resolutions.
+    so its B^sigma norms are marginal at gamma = sigma + 1; a margin of 1/2
+    keeps truncated norms convergent across resolutions.
     """
-    return float(sigma) + 1.0 + margin
+    return float(sigma) + 1.0 + 0.5
 
 
 # -- snapshot persistence -------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .admissible import derive_exponents
-from .besov import as_fraction, besov_value
+from .besov import as_fraction, besov_value, lp_norm
 from .errors import OracleCapExceeded, ResolutionMismatch
 from .fields import (
     TWO_PI,
@@ -84,8 +84,11 @@ def bilinear_b(u: SpectralField | GridState, v: SpectralField | GridState,
     return SpectralField(n, np.where(_band_mask(n, band), _leray_project(spec, n), 0.0))
 
 
-def bilinear_b_oracle(u: SpectralField, v: SpectralField, band: int | None = None,
-                      cap: int = 16) -> SpectralField:
+ORACLE_CAP = 16  # largest resolution the O(N^4) oracle accepts
+
+
+def bilinear_b_oracle(u: SpectralField, v: SpectralField,
+                      band: int | None = None) -> SpectralField:
     """Brute-force convolution: sum over all mode pairs j + k = m.
 
     Per output mode m the e-basis coefficient is
@@ -93,13 +96,13 @@ def bilinear_b_oracle(u: SpectralField, v: SpectralField, band: int | None = Non
         b_m = (i / 2 pi) sum_{j+k=m} u_j v_k (j_perp . k)(k . m) / (|j| |k| |m|),
 
     Leray projection included, truncated to the same band as bilinear_b.
-    Refuses resolutions above cap.
+    Refuses resolutions above ORACLE_CAP.
     """
     if u.n != v.n:
         raise ResolutionMismatch(f"resolutions differ: {u.n} vs {v.n}")
     n = u.n
-    if n > cap:
-        raise OracleCapExceeded(f"oracle capped at resolution {cap}, got {n}")
+    if n > ORACLE_CAP:
+        raise OracleCapExceeded(f"oracle capped at resolution {ORACLE_CAP}, got {n}")
     band = dealias_band(n) if band is None else band
     half = n // 2
 
@@ -142,18 +145,11 @@ def trilinear(u: SpectralField, v: SpectralField, w: SpectralField,
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Seeded random ensemble: count fields per resolution, power-law gamma."""
+    """Seeded random ensemble: count fields per resolution, unit amplitude."""
 
     count: int = 64
     seed: int = 0
     resolutions: tuple = (16, 32, 64)
-    gamma: float | None = None  # default: near the critical initial regularity
-    amplitude: float = 1.0
-
-    def gamma_for(self, params) -> float:
-        if self.gamma is not None:
-            return self.gamma
-        return gamma_for_regularity(float(params.initial_regularity))
 
 
 @dataclass(frozen=True)
@@ -207,15 +203,14 @@ def verify_estimate_chain(params, ensemble: EnsembleSpec = EnsembleSpec()) -> Es
     alpha, beta = float(exps.alpha), float(exps.beta)
     assert 0 < alpha and 0 < beta and alpha + beta < 1
     s, p, q, r = params.s, params.p, params.q, params.r
-    gamma = ensemble.gamma_for(params)
+    gamma = gamma_for_regularity(float(params.initial_regularity))
     per_res = {}
     best = None
     all_ratios = []
     for n in ensemble.resolutions:
         ratios = []
         for i in range(ensemble.count):
-            u = random_field(n, gamma, ensemble.seed + i, band=dealias_band(n),
-                             amplitude=ensemble.amplitude)
+            u = random_field(n, gamma, ensemble.seed + i, band=dealias_band(n))
             if u.is_zero():
                 continue
             lhs = besov_value(bilinear_b(u, u), -s, p, q)
@@ -287,29 +282,29 @@ def verify_energy_lemma(x: SpectralField, y: SpectralField, eps: float,
     )
 
 
-def energy_lemma_ensemble(eps: float, p_t, q_t, ensemble: EnsembleSpec = EnsembleSpec(),
-                          gamma_x: float = 2.5, gamma_y: float = 2.0) -> EstimateReport:
+def energy_lemma_ensemble(eps: float, p_t, q_t,
+                          ensemble: EnsembleSpec = EnsembleSpec()) -> EstimateReport:
     """Max implied energy-lemma constant over a random ensemble, per resolution.
 
     The lemma owes one constant for all data, so each sampled pair is probed
     along its whole y-scale ray: with T = |<B(x), y>|, V = eps ||x||^2_{H1},
     the implied constant at scale L is (L T - V) / (||x||^2 (L ||y||)^q~),
-    and the sweep captures its maximizer.
+    and the sweep captures its maximizer.  x is drawn with power-law
+    exponent 2.5 and y with 2.0.
     """
     p_t, q_t = as_fraction(p_t), as_fraction(q_t)
     _energy_lemma_hypotheses(p_t, q_t)
     sigma = Fraction(2) / p_t + Fraction(2) / q_t - 1
     qf = float(q_t)
+    gamma_x, gamma_y = 2.5, 2.0
     scales = 2.0 ** np.arange(-4, 13)
     per_res = {}
     all_cs = []
     for n in ensemble.resolutions:
         cs = []
         for i in range(ensemble.count):
-            x = random_field(n, gamma_x, ensemble.seed + 2 * i, band=dealias_band(n),
-                             amplitude=ensemble.amplitude)
-            y = random_field(n, gamma_y, ensemble.seed + 2 * i + 1, band=dealias_band(n),
-                             amplitude=ensemble.amplitude)
+            x = random_field(n, gamma_x, ensemble.seed + 2 * i, band=dealias_band(n))
+            y = random_field(n, gamma_y, ensemble.seed + 2 * i + 1, band=dealias_band(n))
             t_pair = abs(trilinear(x, x, y))
             visc = float(eps) * x.h_norm(1.0) ** 2
             x_l2_sq = x.l2_norm() ** 2
@@ -366,14 +361,13 @@ class ChainReport:
         )
 
 
-def verify_classical_trilinear(x: SpectralField, y: SpectralField, eps: float = 0.5) -> ChainReport:
+def verify_classical_trilinear(x: SpectralField, y: SpectralField) -> ChainReport:
     """Each link of the classical trilinear-chain bound on <B(x), y>.
 
     The Hoelder link and the mode-space interpolation link hold with
     constant 1 (asserted in tests); the embedding links are empirical.
+    The Young link splits off eps ||grad x||^2 with eps = 1/2.
     """
-    from .besov import lp_norm
-
     m4 = 4 * x.n  # |x|^4 is a trig polynomial; oversample so its quadrature is exact
     lhs = abs(trilinear(x, x, y))
     x_l4 = lp_norm(x.to_grid(m4), 4)
@@ -384,6 +378,6 @@ def verify_classical_trilinear(x: SpectralField, y: SpectralField, eps: float = 
     sobolev = LinkCheck("sobolev", x_l4, x_h_half, exact=False)
     interp = LinkCheck("interpolation", x_h_half**2, x.h_norm(0.0) * x.h_norm(1.0), exact=True)
     y_h_half = y.h_norm(0.5)
-    young_rhs = float(eps) * grad_l2**2 + x.h_norm(0.0) ** 2 * y_h_half**4
+    young_rhs = 0.5 * grad_l2**2 + x.h_norm(0.0) ** 2 * y_h_half**4
     young = LinkCheck("young", lhs, young_rhs, exact=False)
     return ChainReport((holder, sobolev, interp, young))

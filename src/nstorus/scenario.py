@@ -14,12 +14,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .besov import BesovParams, as_fraction
+from .errors import NstorusError
 from .fields import SpectralField, random_field
-from .solver import DEFAULT_CONSTANTS, EmpiricalConstants, SolverConfig
+from .solver import DEFAULT_CONSTANTS, SolverConfig
 from .stokes import ForcingSpec
 
 
-class ScenarioError(ValueError):
+class ScenarioError(NstorusError, ValueError):
     """Malformed scenario text; message carries line and field information."""
 
 
@@ -52,47 +53,46 @@ class FieldSpec:
     band: int | None = None
 
 
+# Scenario keys solver.<name> and how their values parse; constants.<name> fill
+# SolverConfig.constants, and dealias and picard_tol keep their defaults.
+SOLVER_KEYS = {"n": int, "dt": float, "t_final": float, "split_eps": float,
+               "smallness_y0": float, "smallness_h": float}
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str = "run"
     seed: int = 0
     params: BesovParams = BesovParams(Fraction(4, 3), Fraction(5, 2), Fraction(3), Fraction(3))
-    n: int = 32
-    dt: float = 1e-3
-    t_final: float = 1.0
-    split_eps: float = 1e-3
-    smallness_y0: float = 1e-2
-    smallness_h: float = 1e-2
+    solver: SolverConfig = SolverConfig()
     initial: FieldSpec = FieldSpec()
     forcing: FieldSpec = FieldSpec()
     snapshot_times: tuple = ()
     reports: tuple = ("trajectory", "report")
-    constants: EmpiricalConstants = DEFAULT_CONSTANTS
+
+    def __post_init__(self):
+        # the digest covers only the scenario keys, so the rest must be the defaults
+        if (self.solver.dealias, self.solver.picard_tol) != (None, SolverConfig.picard_tol):
+            raise ScenarioError("solver.dealias and solver.picard_tol are not scenario keys")
 
     # -- construction of run objects ------------------------------------------
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            n=self.n, dt=self.dt, t_final=self.t_final, split_eps=self.split_eps,
-            smallness_y0=self.smallness_y0, smallness_h=self.smallness_h,
-            constants=self.constants,
-        )
-
     def initial_field(self) -> SpectralField:
-        return _build_field(self.initial, self.n, self.seed)
+        return _build_field(self.initial, self.solver.n, self.seed)
 
     def forcing_spec(self) -> ForcingSpec:
         spec = self.forcing
+        n = self.solver.n
         if spec.kind == "zero":
-            return ForcingSpec.zero(self.n)
+            return ForcingSpec.zero(n)
         if spec.kind == "modes":
             return ForcingSpec.from_modes(
-                self.n,
+                n,
                 [((m.k1, m.k2), complex(m.re, m.im), m.law, m.frequency, m.phase)
                  for m in spec.modes],
             )
         if spec.kind == "random":
-            return ForcingSpec.from_random(self.n, spec.gamma, self.seed + 1 + spec.seed_offset,
+            return ForcingSpec.from_random(n, spec.gamma, self.seed + 1 + spec.seed_offset,
                                            amplitude=spec.amplitude, band=spec.band)
         raise ScenarioError(f"unknown forcing kind {spec.kind!r}")
 
@@ -106,14 +106,10 @@ class Scenario:
             f"params.p = {self.params.p}",
             f"params.q = {self.params.q}",
             f"params.r = {self.params.r}",
-            f"solver.n = {self.n}",
-            f"solver.dt = {self.dt!r}",
-            f"solver.t_final = {self.t_final!r}",
-            f"solver.split_eps = {self.split_eps!r}",
-            f"solver.smallness_y0 = {self.smallness_y0!r}",
-            f"solver.smallness_h = {self.smallness_h!r}",
         ]
-        for key, val in sorted(self.constants.as_dict().items()):
+        for key in SOLVER_KEYS:
+            lines.append(f"solver.{key} = {getattr(self.solver, key)!r}")
+        for key, val in sorted(self.solver.constants.as_dict().items()):
             lines.append(f"constants.{key} = {val!r}")
         lines.extend(_field_spec_lines("initial", self.initial, with_law=False))
         lines.extend(_field_spec_lines("forcing", self.forcing, with_law=True))
@@ -170,7 +166,8 @@ class Scenario:
             take("params.q", conv=as_fraction, default=Fraction(3)),
             take("params.r", conv=as_fraction, default=Fraction(3)),
         )
-        constants = DEFAULT_CONSTANTS
+        solver_kwargs = {name: take(f"solver.{name}", conv=conv)
+                         for name, conv in SOLVER_KEYS.items() if f"solver.{name}" in data}
         const_kwargs = {}
         for key in list(data):
             if key.startswith("constants."):
@@ -179,18 +176,17 @@ class Scenario:
                     raise ScenarioError(f"unknown constant {name!r}")
                 const_kwargs[name] = float(data.pop(key)[1])
         if const_kwargs:
-            constants = replace(DEFAULT_CONSTANTS, **const_kwargs)
+            solver_kwargs["constants"] = replace(DEFAULT_CONSTANTS, **const_kwargs)
+        try:
+            solver = SolverConfig(**solver_kwargs)
+        except ValueError as exc:
+            raise ScenarioError(f"solver settings: {exc}") from exc
 
         scenario = cls(
             name=take("name", default="run"),
             seed=take("seed", default=0, conv=int),
             params=params,
-            n=take("solver.n", default=32, conv=int),
-            dt=take("solver.dt", default=1e-3, conv=float),
-            t_final=take("solver.t_final", default=1.0, conv=float),
-            split_eps=take("solver.split_eps", default=1e-3, conv=float),
-            smallness_y0=take("solver.smallness_y0", default=1e-2, conv=float),
-            smallness_h=take("solver.smallness_h", default=1e-2, conv=float),
+            solver=solver,
             initial=_field_spec_from(data, "initial", tuple(modes["initial"])),
             forcing=_field_spec_from(data, "forcing", tuple(modes["forcing"])),
             snapshot_times=take(
@@ -201,7 +197,6 @@ class Scenario:
                 "reports", default=("trajectory", "report"),
                 conv=lambda v: tuple(v.split()),
             ),
-            constants=constants,
         )
         if data:
             key = next(iter(data))

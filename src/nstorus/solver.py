@@ -52,6 +52,7 @@ from .stokes import (
     ForcingSpec,
     SampledForcing,
     apply_a,
+    data_f_norm,
     forcing_lr_norm,
     linear_regularity_report,
     semigroup,
@@ -88,6 +89,10 @@ DEFAULT_CONSTANTS = EmpiricalConstants(
 )
 
 
+PICARD_MAX_ITER = 60   # Picard sweeps before NonConvergent
+GRONWALL_SLACK = 1e-8  # relative slack of the a priori energy envelope
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     n: int = 32
@@ -95,16 +100,17 @@ class SolverConfig:
     t_final: float = 1.0
     dealias: int | None = None      # retained band, default n // 3
     picard_tol: float = 1e-9
-    picard_max_iter: int = 60
     constants: EmpiricalConstants = DEFAULT_CONSTANTS
     split_eps: float = 1e-3
     smallness_y0: float = 1e-2
     smallness_h: float = 1e-2
-    gronwall_slack: float = 1e-8
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
+        if abs(self.t_final / self.steps - self.dt) > 1e-9 * self.dt:
+            raise ValueError(f"dt = {self.dt!r} does not divide t_final = {self.t_final!r} "
+                             "into whole steps")
         if self.band > self.n // 2:
             raise ValueError("dealias band cannot exceed n/2")
 
@@ -233,14 +239,6 @@ def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
 # -- local solve with the smallness time bound ------------------------------------
 
 
-def data_f_norm(u0: SpectralField, forcing, params, t_final: float, samples: int,
-                m: int | None = None) -> float:
-    """Discrete data norm: L^r-in-time Besov norm of f plus the initial-data norm."""
-    times = np.linspace(0.0, t_final, samples + 1)
-    return (forcing_lr_norm(forcing, params, times, m)
-            + besov_value(u0, params.initial_regularity, params.p, params.r, m))
-
-
 def smallness_bound_rhs(constants: EmpiricalConstants) -> float:
     """Right side of the smallness bound: 1 / (4 ||inv(d0 Phi)||^2 C1)."""
     denom = 4.0 * constants.norm_inv_d0phi**2 * constants.c1
@@ -302,7 +300,7 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
     factors: list = []
     converged = False
     iterations = 0
-    for it in range(config.picard_max_iter):
+    for it in range(PICARD_MAX_ITER):
         iterations = it + 1
         rhs_fields = [
             force(float(t)) - bilinear_b(w, w, band=band)
@@ -335,7 +333,8 @@ def solve_local(u0: SpectralField, forcing, params, config: SolverConfig) -> Loc
             f"local gate failed: failed={gate.failed_ids} boundary={gate.boundary_ids}"
         )
     exps = derive_exponents(params)
-    f_norm = data_f_norm(u0, forcing, params, config.t_final, config.steps)
+    f_norm = data_f_norm(u0, forcing, params,
+                         np.linspace(0.0, config.t_final, config.steps + 1))
     t_bar = smallness_time_bound(f_norm, exps.epsilon, config.constants, config.t_final)
     steps = max(8, math.ceil(t_bar / config.dt))
     local_cfg = replace(config, t_final=t_bar, dt=t_bar / steps)
@@ -360,19 +359,19 @@ class SplitData:
 
 
 def split_data(u0: SpectralField, forcing: ForcingSpec, eps_split: float, params,
-               t_final: float, samples: int = 64, k_start: int = 1,
-               k_max: int | None = None) -> SplitData:
+               t_final: float) -> SplitData:
     """Low-pass split u0 = x0 + y0, f = g + h with small rough parts.
 
-    The cutoff starts at k_start and grows until the rough-part norms (the
-    L^r-in-time Besov norm of h and the initial-space norm of y0) both fall
-    below eps_split; exhausting the resolution raises CutoffExhausted.
+    The cutoff k_cut grows from 1 to n/2 until the rough-part norms (the
+    L^r-in-time Besov norm of h on 65 samples of [0, t_final] and the
+    initial-space norm of y0) both fall below eps_split; exhausting the
+    resolution raises CutoffExhausted.
     """
     if eps_split <= 0:
         raise ValueError("eps_split must be positive")
-    k_max = u0.n // 2 if k_max is None else k_max
-    times = np.linspace(0.0, t_final, samples + 1)
-    for k_cut in range(k_start, k_max + 1):
+    k_max = u0.n // 2
+    times = np.linspace(0.0, t_final, 65)
+    for k_cut in range(1, k_max + 1):
         g, h = forcing.split(k_cut)
         x0 = u0.low_pass(k_cut)
         y0 = u0 - x0
@@ -464,7 +463,7 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y_traj: Trajectory, params,
     stage_bxx: dict = {}
 
     def nonlin(x, t, i, stage):
-        y = _stage_field(y_traj, i, stage) if i < steps else y_traj.fields[-1]
+        y = _stage_field(y_traj, i, stage)
         gx, gy = grid_states((x, y), band)
         bxx = bilinear_b(gx, gx, band=band)
         stage_bxx[stage] = (y, bxx)
@@ -517,7 +516,7 @@ def build_energy_monitor(traj: Trajectory, y_traj: Trajectory, g: ForcingSpec,
     y_int = cumulative_trapezoid(times, y_vals)
     c = config.constants.c_energy
     envelope = (x0.energy() + 2.0 * g_int) * np.exp(2.0 * c * y_int)
-    breaches = x_l2_sq > envelope * (1.0 + config.gronwall_slack) + 1e-30
+    breaches = x_l2_sq > envelope * (1.0 + GRONWALL_SLACK) + 1e-30
     return EnergyMonitor(residuals, envelope, x_l2_sq, breaches, c)
 
 
@@ -535,16 +534,15 @@ class SplitResult:
         return float(np.max(self.discrepancy))
 
 
-def solve_split(u0: SpectralField, forcing: ForcingSpec, params, config: SolverConfig,
-                eps_split: float | None = None) -> SplitResult:
+def solve_split(u0: SpectralField, forcing: ForcingSpec, params,
+                config: SolverConfig) -> SplitResult:
     """Split solve (rough + smooth parts) checked against a direct solve."""
     gate = check_global(params)
     if not gate.all_pass:
         raise InadmissibleParams(
             f"global gate failed: failed={gate.failed_ids} boundary={gate.boundary_ids}"
         )
-    eps = config.split_eps if eps_split is None else eps_split
-    split = split_data(u0, forcing, eps, params, config.t_final)
+    split = split_data(u0, forcing, config.split_eps, params, config.t_final)
     y_traj = solve_y(split.y0, split.h, params, config)
     x_res = solve_x(split.x0, split.g, y_traj, params, config)
     u_fields = [x + y for x, y in zip(x_res.trajectory.fields, y_traj.fields)]
@@ -586,8 +584,8 @@ def uniqueness_probe(u_traj: Trajectory, ut_traj: Trajectory, params, config: So
     t_final = u_traj.t_final
 
     def nonlin_delta(d, t, i, stage):
-        u = _stage_field(u_traj, i, stage) if i < steps else u_traj.fields[-1]
-        ut = _stage_field(ut_traj, i, stage) if i < steps else ut_traj.fields[-1]
+        u = _stage_field(u_traj, i, stage)
+        ut = _stage_field(ut_traj, i, stage)
         gu, gd, gt = grid_states((u, d, ut), band)
         return -bilinear_b(gu, gd, band=band) - bilinear_b(gd, gt, band=band)
 
@@ -633,14 +631,16 @@ def uniqueness_probe(u_traj: Trajectory, ut_traj: Trajectory, params, config: So
 # -- empirical constant estimation ---------------------------------------------------
 
 
-def estimate_empirical_constants(params, n: int = 32, count: int = 64, seed: int = 2024,
-                                 t_final: float = 1.0, steps: int = 32) -> EmpiricalConstants:
+def estimate_empirical_constants(params, n: int = 32, count: int = 64,
+                                 seed: int = 2024) -> EmpiricalConstants:
     """Probe-ensemble estimates: max observed ratio over `count` probes, x2 safety.
 
-    Probes are linear solves with power-law random data; the measured
-    ratios realize the continuity, product-estimate and contraction bounds
-    whose constants the continuous theory leaves unquantified.
+    Probes are linear solves on [0, 1] in 32 steps with power-law random
+    data; the measured ratios realize the continuity, product-estimate and
+    contraction bounds whose constants the continuous theory leaves
+    unquantified.
     """
+    t_final, steps = 1.0, 32
     band = dealias_band(n)
     gamma_u0 = gamma_for_regularity(float(params.initial_regularity))
     gamma_f = gamma_for_regularity(float(-params.s))
@@ -697,7 +697,6 @@ def estimate_empirical_constants(params, n: int = 32, count: int = 64, seed: int
     energy = energy_lemma_ensemble(
         0.25, params.p, params.r,
         EnsembleSpec(count=count, seed=seed, resolutions=(n,)),
-        gamma_x=2.5, gamma_y=2.0,
     )
     return EmpiricalConstants(
         norm_inv_d0phi=2.0 * ninv,

@@ -169,20 +169,29 @@ class SampledForcing:
         return self.fields[max(0, min(i, len(self.fields) - 1))]
 
 
-def forcing_lr_norm(forcing, params, times, m: int | None = None) -> float:
+def forcing_lr_norm(forcing, params, times) -> float:
     """||f||_{L^r(0,T; B^{-s}_{p,q})}, trapezoid in time over the sample grid.
 
     When every component has the constant law, field_at is the same field at
     every sample, so its Besov norm is evaluated once.
     """
     def norm_at(t):
-        return besov_value(forcing.field_at(float(t)), -params.s, params.p, params.q, m)
+        return besov_value(forcing.field_at(float(t)), -params.s, params.p, params.q)
 
     if isinstance(forcing, ForcingSpec) and forcing.is_steady():
         vals = np.full(len(times), norm_at(times[0]))
     else:
         vals = np.array([norm_at(t) for t in times])
     return lr_time_norm(times, params.r, vals)
+
+
+def data_f_norm(u0: SpectralField, forcing, params, times) -> float:
+    """Data norm ||f||_{L^r(0,T; B^{-s}_{p,q})} + ||u0||_{B^{-s+2-2/r}_{p,r}}.
+
+    The forcing term is taken on the sample grid times.
+    """
+    return (forcing_lr_norm(forcing, params, times)
+            + besov_value(u0, params.initial_regularity, params.p, params.r))
 
 
 def stokes_solve(u0: SpectralField, forcing, t_final: float, steps: int) -> Trajectory:
@@ -194,8 +203,6 @@ def stokes_solve(u0: SpectralField, forcing, t_final: float, steps: int) -> Traj
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    if forcing is None:
-        forcing = ForcingSpec.zero(u0.n)
     if forcing.n != u0.n:
         raise ResolutionMismatch("forcing resolution differs from initial data")
     times = np.linspace(0.0, t_final, steps + 1)
@@ -248,12 +255,11 @@ class LinearRegularityReport:
     continuity_ratio: float
 
 
-def linear_regularity_report(traj: Trajectory, forcing, u0: SpectralField, params,
-                             m: int | None = None) -> LinearRegularityReport:
-    data_norm = (forcing_lr_norm(forcing, params, traj.times, m)
-                 + besov_value(u0, params.initial_regularity, params.p, params.r, m))
-    w_norm = traj.w1r_norm(params, m)
-    sup_init = float(np.max(traj.besov_series(params.initial_regularity, params.p, params.r, m)))
+def linear_regularity_report(traj: Trajectory, forcing, u0: SpectralField,
+                             params) -> LinearRegularityReport:
+    data_norm = data_f_norm(u0, forcing, params, traj.times)
+    w_norm = traj.w1r_norm(params)
+    sup_init = float(np.max(traj.besov_series(params.initial_regularity, params.p, params.r)))
     return LinearRegularityReport(
         w_norm=w_norm,
         data_norm=data_norm,

@@ -57,21 +57,21 @@ class Trajectory:
     def series(self, fn) -> np.ndarray:
         return np.array([fn(u) for u in self.fields], dtype=float)
 
-    def besov_series(self, s, p, q, m: int | None = None) -> np.ndarray:
-        return self.series(lambda u: besov_value(u, s, p, q, m))
+    def besov_series(self, s, p, q) -> np.ndarray:
+        return self.series(lambda u: besov_value(u, s, p, q))
 
-    def deriv_besov_series(self, s, p, q, m: int | None = None) -> np.ndarray:
+    def deriv_besov_series(self, s, p, q) -> np.ndarray:
         if self.derivs is None:
             raise ValueError("trajectory carries no derivative samples")
-        return np.array([besov_value(d, s, p, q, m) for d in self.derivs], dtype=float)
+        return np.array([besov_value(d, s, p, q) for d in self.derivs], dtype=float)
 
-    def w1r_norm(self, params, m: int | None = None) -> float:
+    def w1r_norm(self, params) -> float:
         """Discrete graph norm: (int ||u||^r_{B^{-s+2}_{p,q}} + int ||u'||^r_{B^{-s}_{p,q}})^(1/r)."""
         if self.derivs is None:
             raise ValueError("w1r norm needs derivative samples")
         return lr_time_norm(self.times, params.r,
-                            self.besov_series(-params.s + 2, params.p, params.q, m),
-                            self.deriv_besov_series(-params.s, params.p, params.q, m))
+                            self.besov_series(-params.s + 2, params.p, params.q),
+                            self.deriv_besov_series(-params.s, params.p, params.q))
 
     def to_csv(self, path, besov_specs=(), extra_columns=None, meta: dict | None = None) -> None:
         """Write (t, L2, H1, configured Besov norms, accumulators, extras) as CSV.

@@ -1,13 +1,20 @@
 """Scenario parsing, artifact determinism, CLI exit codes."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nstorus import errors
+from nstorus.besov import BesovParams
 from nstorus.cli import main
 from nstorus.fields import random_field, save_snapshot
-from nstorus.scenario import Scenario, ScenarioError
+from nstorus.scenario import FieldSpec, ModeEntry, Scenario, ScenarioError
+from nstorus.solver import DEFAULT_CONSTANTS, SolverConfig
 
 SCENARIO_TEXT = """\
 name = demo
@@ -36,7 +43,7 @@ class TestScenario:
 
     def test_defaults_and_fields(self):
         s = Scenario.from_text(SCENARIO_TEXT)
-        assert s.n == 16 and s.seed == 7
+        assert s.solver.n == 16 and s.seed == 7
         assert str(s.params.s) == "4/3"
         u0 = s.initial_field()
         assert u0.coeff(1, 0) == 0.05
@@ -73,6 +80,64 @@ class TestScenario:
         s = Scenario.from_text(text)
         assert s.initial.kind == "random" and s.initial.band == 5
         assert Scenario.from_text(s.to_text()) == s
+
+
+POSITIVE = st.floats(1e-6, 1e3, allow_nan=False, allow_infinity=False)
+REAL = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def field_specs(draw, with_law):
+    kind = draw(st.sampled_from(["zero", "modes", "random"]))
+    if kind == "zero":
+        return FieldSpec()
+    if kind == "random":
+        return FieldSpec("random", (), draw(POSITIVE), draw(POSITIVE), draw(st.integers(0, 99)),
+                         draw(st.none() | st.integers(1, 8)))
+    laws = ["constant", "sinusoid"] if with_law else ["constant"]
+    modes = []
+    for _ in range(draw(st.integers(0, 3))):
+        k1, k2, re, im = (draw(st.integers(-7, 7)), draw(st.integers(-7, 7)), draw(REAL),
+                          draw(REAL))
+        if draw(st.sampled_from(laws)) == "sinusoid":
+            modes.append(ModeEntry(k1, k2, re, im, "sinusoid", draw(REAL), draw(REAL)))
+        else:
+            modes.append(ModeEntry(k1, k2, re, im))
+    return FieldSpec("modes", tuple(modes))
+
+
+@st.composite
+def scenarios(draw):
+    t_final = draw(POSITIVE)
+    steps = draw(st.integers(1, 5000))
+    names = sorted(DEFAULT_CONSTANTS.as_dict())
+    overrides = draw(st.dictionaries(st.sampled_from(names), POSITIVE))
+    solver = SolverConfig(
+        n=draw(st.sampled_from([8, 16, 32])), dt=t_final / steps, t_final=t_final,
+        split_eps=draw(POSITIVE), smallness_y0=draw(POSITIVE), smallness_h=draw(POSITIVE),
+        constants=replace(DEFAULT_CONSTANTS, **overrides),
+    )
+    exponent = st.fractions(Fraction(1, 60), 20, max_denominator=60)
+    return Scenario(
+        name=draw(st.from_regex(r"[a-z][a-z0-9_-]{0,11}", fullmatch=True)),
+        seed=draw(st.integers(0, 10**6)),
+        params=BesovParams(draw(st.fractions(-5, 5, max_denominator=60)), 1 + draw(exponent),
+                           1 + draw(exponent), 1 + draw(exponent)),
+        solver=solver,
+        initial=draw(field_specs(with_law=False)),
+        forcing=draw(field_specs(with_law=True)),
+        snapshot_times=tuple(draw(st.lists(POSITIVE, max_size=3))),
+        reports=tuple(draw(st.lists(st.sampled_from(["trajectory", "report"]),
+                                    min_size=1, max_size=2, unique=True))),
+    )
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(scenario=scenarios())
+def test_emitted_text_parses_back_to_the_same_scenario(scenario):
+    parsed = Scenario.from_text(scenario.to_text())
+    assert parsed == scenario
+    assert parsed.digest() == scenario.digest()
 
 
 class TestCli:
@@ -152,13 +217,40 @@ class TestCli:
         assert {"scenario_hash", "version", "n", "grid_m", "dt"} <= set(meta)
         assert any(key.startswith("const_") for key in meta)
 
-    def test_meta_records_the_dt_that_ran(self):
+    def test_meta_records_the_dt_that_ran(self, tmp_path, capsys):
         from nstorus.cli import _meta
 
-        meta = _meta(Scenario(dt=0.3, t_final=1.0))
-        assert meta["steps"] == 3
-        assert meta["dt"] == 1.0 / 3
+        meta = _meta(Scenario(solver=SolverConfig(dt=0.25, t_final=1.0)))
+        assert meta["steps"] == 4
+        assert meta["dt"] == 0.25
         assert meta["grid_m"] == 32
+        # dt = 0.3 does not divide T = 1 and would run 3 steps of 1/3
+        bad = SCENARIO_TEXT.replace("solver.dt = 0.01", "solver.dt = 0.3").replace(
+            "solver.t_final = 0.1", "solver.t_final = 1.0")
+        with pytest.raises(ScenarioError, match="does not divide"):
+            Scenario.from_text(bad)
+        scn = tmp_path / "bad.scn"
+        scn.write_text(bad)
+        assert main(["stokes", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
+        assert "does not divide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting,error", [
+        ("solver.smallness_y0 = 1e-12", "SmallnessViolation"),
+        ("solver.split_eps = 1e-14", "CutoffExhausted"),
+    ])
+    def test_package_errors_are_reported_by_type(self, tmp_path, capsys, setting, error):
+        # the (7, 7) mode lies beyond every cutoff |k| <= n/2, so y0 is never zero
+        scn = tmp_path / "rough.scn"
+        scn.write_text(SCENARIO_TEXT + "initial.mode = 7 7 1e-06 0.0\n" + setting + "\n")
+        code = main(["solve-split", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+    def test_every_package_error_shares_one_base(self):
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, Exception)]
+        assert len(classes) >= 12
+        assert all(issubclass(c, errors.NstorusError) for c in classes + [ScenarioError])
 
     def test_stokes_artifacts(self, tmp_path):
         scn = tmp_path / "demo.scn"
