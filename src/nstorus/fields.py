@@ -38,6 +38,11 @@ SNAPSHOT_MAGIC = b"BNSF"
 SNAPSHOT_VERSION = 1
 
 
+def _check_resolution(n: int) -> None:
+    if n <= 0 or n % 2:
+        raise ResolutionMismatch(f"resolution must be an even positive integer, got {n}")
+
+
 @lru_cache(maxsize=None)
 def _lattice(n: int):
     """Cached index arrays for the canonical half-lattice at resolution n.
@@ -45,8 +50,7 @@ def _lattice(n: int):
     Layout: row i holds k1 = i (0..n/2), column j holds k2 = j - n/2.
     Slots with k1 == 0 and k2 <= 0 are structurally unused.
     """
-    if n <= 0 or n % 2:
-        raise ResolutionMismatch(f"resolution must be an even positive integer, got {n}")
+    _check_resolution(n)
     half = n // 2
     k1 = np.arange(0, half + 1)[:, None] * np.ones(n + 1, dtype=int)[None, :]
     k2 = np.arange(-half, half + 1)[None, :] * np.ones(half + 1, dtype=int)[:, None]
@@ -588,20 +592,22 @@ def save_snapshot(field: SpectralField, path, time: float = 0.0) -> None:
 
 
 def load_snapshot(path) -> tuple[SpectralField, float]:
+    """Read a snapshot, checking header and payload size before building anything."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError("bad snapshot magic")
-    version = struct.unpack("<I", raw[4:8])[0]
+    if len(raw) < 20:
+        raise ValueError(f"snapshot header truncated: {len(raw)} of 20 bytes")
+    version, n, time = struct.unpack("<IId", raw[4:20])
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
-    n = struct.unpack("<I", raw[8:12])[0]
-    time = struct.unpack("<d", raw[12:20])[0]
-    _, _, canon, _, _, _, _ = _lattice(n)
-    count = int(np.count_nonzero(canon))
-    data = np.frombuffer(raw[20:], dtype="<f8")
-    if data.size != 2 * count:
+    _check_resolution(n)
+    # the canonical half-lattice has (n/2)(n+2) slots, each a (re, im) pair
+    if len(raw) - 20 != 16 * (n // 2) * (n + 2):
         raise ValueError("snapshot payload size mismatch")
+    _, _, canon, _, _, _, _ = _lattice(n)
+    data = np.frombuffer(raw[20:], dtype="<f8")
     coeffs = np.zeros(canonical_shape(n), dtype=np.complex128)
     coeffs[canon] = data[0::2] + 1j * data[1::2]
     return SpectralField(n, coeffs), time

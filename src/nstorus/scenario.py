@@ -58,6 +58,9 @@ class FieldSpec:
 SOLVER_KEYS = {"n": int, "dt": float, "t_final": float, "split_eps": float,
                "smallness_y0": float, "smallness_h": float}
 
+# The artifacts a run can write; a scenario lists some or all of them.
+REPORTS = ("trajectory", "report")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -68,7 +71,7 @@ class Scenario:
     initial: FieldSpec = FieldSpec()
     forcing: FieldSpec = FieldSpec()
     snapshot_times: tuple = ()
-    reports: tuple = ("trajectory", "report")
+    reports: tuple = REPORTS
 
     def __post_init__(self):
         # the digest covers only the scenario keys, so the rest must be the defaults
@@ -174,7 +177,7 @@ class Scenario:
                 name = key.split(".", 1)[1]
                 if name not in DEFAULT_CONSTANTS.as_dict():
                     raise ScenarioError(f"unknown constant {name!r}")
-                const_kwargs[name] = float(data.pop(key)[1])
+                const_kwargs[name] = take(key, conv=float)
         if const_kwargs:
             solver_kwargs["constants"] = replace(DEFAULT_CONSTANTS, **const_kwargs)
         try:
@@ -193,15 +196,20 @@ class Scenario:
                 "snapshot_times", default=(),
                 conv=lambda v: tuple(float(x) for x in v.split()),
             ),
-            reports=take(
-                "reports", default=("trajectory", "report"),
-                conv=lambda v: tuple(v.split()),
-            ),
+            reports=take("reports", default=REPORTS, conv=_parse_reports),
         )
         if data:
             key = next(iter(data))
             raise ScenarioError(f"line {data[key][0]}: unknown key {key!r}")
         return scenario
+
+
+def _parse_reports(value: str) -> tuple:
+    words = tuple(value.split())
+    for word in words:
+        if word not in REPORTS:
+            raise ValueError(f"unknown report {word!r} (expected trajectory or report)")
+    return words
 
 
 def _parse_mode(lineno: int, key: str, value: str) -> ModeEntry:

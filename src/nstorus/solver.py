@@ -3,10 +3,11 @@
 The integrator is integrating-factor RK4: the Stokes part is applied
 exactly through exp(-dt A) per mode, classical RK4 handles the transformed
 nonlinearity, and every state is confined to the dealiased band so the
-discrete system is the exact Galerkin truncation.  Energy-balance
-integrals are carried as extra accumulator components of the same RK4
-step, which keeps the discrete energy identity accurate to the scheme's
-own order instead of a lower-order quadrature.
+discrete system is the exact Galerkin truncation.  The right-hand side
+returns, at each stage, the non-Stokes term together with the
+energy-balance integrands it evaluates there; the step sums those with
+the RK4 weights, which keeps the discrete energy identity accurate to the
+scheme's own order instead of a lower-order quadrature.
 
 Trajectories record the integrator's internal stage states.  The coupled
 smooth-part equation is then driven by exactly the stage values a joint
@@ -129,75 +130,73 @@ class SolverConfig:
 
 
 class Stepper:
-    """One integrating-factor RK4 step at fixed resolution, band and dt."""
+    """One integrating-factor RK4 step at fixed resolution and dt."""
 
-    def __init__(self, n: int, band: int, dt: float):
-        self.n = n
-        self.band = band
+    def __init__(self, n: int, dt: float):
         self.dt = dt
         probe = SpectralField.zeros(n)
         self.e_half = probe.radial_weights(lambda kk: np.exp(-0.5 * dt * kk.astype(float)))
         self.e_full = probe.radial_weights(lambda kk: np.exp(-dt * kk.astype(float)))
 
-    def step(self, u: SpectralField, t: float, nonlin, step_idx: int,
-             acc_fns=None, acc_vals=None):
-        """Advance one step; returns (u_next, k1, stages (S2, S3, S4)).
+    def step(self, u: SpectralField, t: float, nonlin, step_idx: int):
+        """Advance one step; returns (u_next, k1, stages (S2, S3, S4), increments).
 
-        nonlin(field, t, step_idx, stage_idx) evaluates the non-Stokes right
-        side at a stage state; acc_fns are integrands accumulated with the
-        same RK4 weights.
+        nonlin(field, t, step_idx, stage_idx) returns (du, integrands): the
+        non-Stokes right side at a stage state and a dict of accumulator
+        integrands there ({} when nothing is accumulated).  increments maps
+        each integrand to (h/6)(w1 + 2 w2 + 2 w3 + w4) over the four stages.
         """
         h = self.dt
-        k1 = nonlin(u, t, step_idx, 0)
+        k1, w1 = nonlin(u, t, step_idx, 0)
         s2 = (u + (0.5 * h) * k1).scale_radial(self.e_half)
-        k2 = nonlin(s2, t + 0.5 * h, step_idx, 1)
+        k2, w2 = nonlin(s2, t + 0.5 * h, step_idx, 1)
         s3 = u.scale_radial(self.e_half) + (0.5 * h) * k2
-        k3 = nonlin(s3, t + 0.5 * h, step_idx, 2)
+        k3, w3 = nonlin(s3, t + 0.5 * h, step_idx, 2)
         s4 = u.scale_radial(self.e_full) + h * k3.scale_radial(self.e_half)
-        k4 = nonlin(s4, t + h, step_idx, 3)
+        k4, w4 = nonlin(s4, t + h, step_idx, 3)
         u_next = u.scale_radial(self.e_full) + (h / 6.0) * (
             k1.scale_radial(self.e_full)
             + 2.0 * (k2 + k3).scale_radial(self.e_half)
             + k4
         )
-        if acc_fns:
-            stage_states = ((u, t, 0), (s2, t + 0.5 * h, 1), (s3, t + 0.5 * h, 2), (s4, t + h, 3))
-            weights = (1.0, 2.0, 2.0, 1.0)
-            for name, fn in acc_fns.items():
-                inc = 0.0
-                for (state, ts, stage), w in zip(stage_states, weights):
-                    inc += w * fn(state, ts, step_idx, stage)
-                acc_vals[name] += (h / 6.0) * inc
-        return u_next, k1, (s2, s3, s4)
+        increments = {name: (h / 6.0) * (w1[name] + 2.0 * w2[name] + 2.0 * w3[name] + w4[name])
+                      for name in w1}
+        return u_next, k1, (s2, s3, s4), increments
 
 
 def integrate(u0: SpectralField, nonlin, t_final: float, steps: int, band: int,
-              acc_fns=None, record_stages: bool = False) -> Trajectory:
-    """Integrate u' + Au = nonlin(u, t) from the band-truncated initial state."""
+              record_stages: bool = False) -> Trajectory:
+    """Integrate u' + Au = du from the band-truncated initial state.
+
+    nonlin(u, t, step_idx, stage_idx) returns (du, integrands) at each
+    stage, as Stepper.step describes.  Trajectory.acc holds the running
+    integral of each integrand at the samples, starting from 0, in the
+    order nonlin lists the integrands.
+    """
     dt = t_final / steps
-    stepper = Stepper(u0.n, band, dt)
+    stepper = Stepper(u0.n, dt)
     u = u0.truncated_inf(band)
     times = np.linspace(0.0, t_final, steps + 1)
     fields = [u]
     derivs = []
     stages = [] if record_stages else None
-    acc_vals = {name: 0.0 for name in (acc_fns or {})}
-    acc_series = {name: [0.0] for name in acc_vals}
+    acc: dict = {}
     for i in range(steps):
         t = float(times[i])
-        u_next, k1, st = stepper.step(u, t, nonlin, i, acc_fns, acc_vals)
+        u_next, k1, st, increments = stepper.step(u, t, nonlin, i)
         if u_next.has_nonfinite():
             raise NonFiniteField(f"non-finite coefficient after step {i} (t = {t + dt:.6g})")
         derivs.append(k1 - apply_a(u))
         if record_stages:
             stages.append(st)
-        for name in acc_vals:
-            acc_series[name].append(acc_vals[name])
+        for name, inc in increments.items():
+            series = acc.setdefault(name, [0.0])
+            series.append(series[-1] + inc)
         u = u_next
         fields.append(u)
-    derivs.append(nonlin(u, float(times[-1]), steps, 0) - apply_a(u))
+    derivs.append(nonlin(u, float(times[-1]), steps, 0)[0] - apply_a(u))
     return Trajectory(times, fields, derivs=derivs, stages=stages,
-                      acc={k: np.array(v) for k, v in acc_series.items()})
+                      acc={k: np.array(v) for k, v in acc.items()})
 
 
 def _band_forcing(forcing, band: int):
@@ -213,27 +212,23 @@ def _band_forcing(forcing, band: int):
 
 def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
                  record_stages: bool = False, monitor: bool = False) -> Trajectory:
-    """Direct integration of the full equation u' + Au + B(u,u) = f on the band."""
+    """Direct integration of the full equation u' + Au + B(u,u) = f on the band.
+
+    With monitor, the energy-balance integrands ||u||_{H1}^2, <f, u> and
+    <B(u,u), u> are accumulated as visc, work_f and work_b.
+    """
     band = config.band
     force = _band_forcing(forcing, band)
-    # Stepper.step evaluates all four stages before the accumulators, so the
-    # work integrand reads the current step's B(u,u) of its stage from here.
-    stage_b: dict = {}
 
     def nonlin(u, t, i, stage):
+        f = force(t)
         b = bilinear_b(u, u, band=band)
-        stage_b[stage] = b
-        return force(t) - b
+        if not monitor:
+            return f - b, {}
+        return f - b, {"visc": u.h_norm(1.0) ** 2, "work_f": f.inner(u), "work_b": b.inner(u)}
 
-    acc = None
-    if monitor:
-        acc = {
-            "visc": lambda u, t, i, stage: u.h_norm(1.0) ** 2,
-            "work_f": lambda u, t, i, stage: force(t).inner(u),
-            "work_b": lambda u, t, i, stage: stage_b[stage].inner(u),
-        }
     return integrate(u0, nonlin, config.t_final, config.steps, band,
-                     acc_fns=acc, record_stages=record_stages)
+                     record_stages=record_stages)
 
 
 # -- local solve with the smallness time bound ------------------------------------
@@ -307,8 +302,7 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
             for t, w in zip(times, current)
         ]
         sol = stokes_solve(u0b, SampledForcing(times, rhs_fields), t_bar, steps)
-        new_fields = [f.truncated_inf(band) for f in sol.fields]
-        new_derivs = [rhs - apply_a(f) for rhs, f in zip(rhs_fields, new_fields)]
+        new_fields, new_derivs = sol.fields, sol.derivs
         d = graph_norm(new_fields, current, new_derivs, derivs)
         diff_norms.append(d)
         if len(diff_norms) >= 2 and diff_norms[-2] > 0:
@@ -396,13 +390,7 @@ def solve_y(y0: SpectralField, h: ForcingSpec, params, config: SolverConfig) -> 
         raise SmallnessViolation(
             f"forcing norm {h_norm:.3e} exceeds threshold {config.smallness_h:.3e}"
         )
-    band = config.band
-    force = _band_forcing(h, band)
-
-    def nonlin(y, t, i, stage):
-        return force(t) - bilinear_b(y, y, band=band)
-
-    return integrate(y0, nonlin, config.t_final, config.steps, band, record_stages=True)
+    return solve_direct(y0, h, config, record_stages=True)
 
 
 def regularity_norms_y(traj: Trajectory, params) -> dict:
@@ -458,42 +446,17 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y_traj: Trajectory, params,
         raise ResolutionMismatch("y trajectory grid does not match the solver grid")
     band = config.band
     force = _band_forcing(g, band)
-    # Stepper.step evaluates all four stages before the accumulators, so the
-    # work integrand reads B(x,x) and y of the current step's stage from here.
-    stage_bxx: dict = {}
 
     def nonlin(x, t, i, stage):
         y = _stage_field(y_traj, i, stage)
         gx, gy = grid_states((x, y), band)
+        f = force(t)
         bxx = bilinear_b(gx, gx, band=band)
-        stage_bxx[stage] = (y, bxx)
-        return (
-            force(t)
-            - bxx
-            - bilinear_b(gx, gy, band=band)
-            - bilinear_b(gy, gx, band=band)
-        )
-
-    def acc_visc(x, t, i, stage):
-        return x.h_norm(1.0) ** 2
-
-    def acc_work_b(x, t, i, stage):
-        y, bxx = stage_bxx[stage]
-        return bxx.inner(y)
-
-    def acc_work_g(x, t, i, stage):
-        return force(t).inner(x)
+        du = f - bxx - bilinear_b(gx, gy, band=band) - bilinear_b(gy, gx, band=band)
+        return du, {"visc": x.h_norm(1.0) ** 2, "work_b": bxx.inner(y), "work_g": f.inner(x)}
 
     x0b = x0.truncated_inf(band)
-    traj = integrate(
-        x0b,
-        nonlin,
-        config.t_final,
-        steps,
-        band,
-        acc_fns={"visc": acc_visc, "work_b": acc_work_b, "work_g": acc_work_g},
-        record_stages=True,
-    )
+    traj = integrate(x0b, nonlin, config.t_final, steps, band)
     monitor = build_energy_monitor(traj, y_traj, g, x0b, params, config)
     return XResult(traj, monitor)
 
@@ -587,7 +550,7 @@ def uniqueness_probe(u_traj: Trajectory, ut_traj: Trajectory, params, config: So
         u = _stage_field(u_traj, i, stage)
         ut = _stage_field(ut_traj, i, stage)
         gu, gd, gt = grid_states((u, d, ut), band)
-        return -bilinear_b(gu, gd, band=band) - bilinear_b(gd, gt, band=band)
+        return -bilinear_b(gu, gd, band=band) - bilinear_b(gd, gt, band=band), {}
 
     zero_traj = integrate(SpectralField.zeros(u_traj.n), nonlin_delta, t_final, steps, band)
     zero_exact = all(not np.any(f.c) for f in zero_traj.fields)

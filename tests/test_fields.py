@@ -1,12 +1,20 @@
 """Field representation, transforms, stream function, persistence."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nstorus import fields
 from nstorus.errors import InconsistentConjugatePair, ResolutionMismatch, ZeroMode
 from nstorus.fields import (
     GridField,
     SpectralField,
+    canonical_shape,
     grid_divergence,
     grid_nodes,
     grid_perp_gradient,
@@ -221,3 +229,53 @@ class TestSnapshots:
         path.write_bytes(b"XXXX" + bytes(32))
         with pytest.raises(ValueError):
             load_snapshot(path)
+
+    def test_payload_size_checked_before_the_lattice_is_built(self, tmp_path, monkeypatch):
+        path = tmp_path / "huge.bnsf"
+        path.write_bytes(b"BNSF" + struct.pack("<IId", 1, 2**20, 0.0))
+
+        def refuse(n):
+            raise AssertionError(f"lattice built for n = {n}")
+
+        monkeypatch.setattr(fields, "_lattice", refuse)
+        with pytest.raises(ValueError, match="payload size mismatch"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_odd_or_zero_resolution_rejected(self, tmp_path, n):
+        path = tmp_path / "odd.bnsf"
+        path.write_bytes(b"BNSF" + struct.pack("<IId", 1, n, 0.0))
+        with pytest.raises(ResolutionMismatch):
+            load_snapshot(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(half=st.integers(1, 16), data=st.data())
+def test_from_modes_coeff_round_trip(half, data):
+    n = 2 * half
+    k = data.draw(st.tuples(st.integers(-half, half), st.integers(-half, half))
+                  .filter(lambda k: k != (0, 0)))
+    value = complex(data.draw(FINITE), data.draw(FINITE))
+    u = SpectralField.from_modes(n, [(k, value)])
+    assert u.coeff(*k) == value
+    assert u.coeff(-k[0], -k[1]) == -np.conj(value)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(half=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-300, 1e300), time=FINITE)
+def test_snapshot_round_trip_is_bit_exact(half, seed, scale, time):
+    n = 2 * half
+    rng = np.random.default_rng(seed)
+    shape = canonical_shape(n)
+    u = SpectralField(n, scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "u.bnsf"
+        save_snapshot(u, path, time=time)
+        v, t = load_snapshot(path)
+    assert v.n == n
+    assert v.c.tobytes() == u.c.tobytes()
+    assert struct.pack("<d", t) == struct.pack("<d", time)

@@ -246,6 +246,26 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {error}: ")
 
+    @pytest.mark.parametrize("line,key", [
+        ("constants.c1 = abc", "constants.c1"),
+        ("reports = trajectry", "reports"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, line, key):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(SCENARIO_TEXT + line + "\n")
+        out = tmp_path / "o"
+        assert main(["stokes", "--scenario", str(scn), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ScenarioError: line 14: ")
+        assert repr(key) in err
+        assert not out.exists()
+
+    def test_truncated_snapshot_reported_by_type(self, tmp_path, capsys):
+        snap = tmp_path / "short.bnsf"
+        snap.write_bytes(b"BNSF\x01\x00")
+        assert main(["norms", "--snapshot", str(snap)]) == 2
+        assert capsys.readouterr().err.startswith("error: ValueError: snapshot header truncated")
+
     def test_every_package_error_shares_one_base(self):
         classes = [c for c in vars(errors).values()
                    if isinstance(c, type) and issubclass(c, Exception)]

@@ -59,7 +59,7 @@ class TestStep:
         u0 = random_field(16, 1.0, 3, band=cfg.band)
 
         def no_nonlin(u, t, i, stage):
-            return SpectralField.zeros(16)
+            return SpectralField.zeros(16), {}
 
         traj = integrate(u0, no_nonlin, cfg.t_final, cfg.steps, cfg.band)
         for t, u in zip(traj.times, traj.fields):
@@ -134,16 +134,17 @@ class TestStageWork:
         band = cfg.band
 
         def nonlin(u, t, i, stage):
-            return f.field_at(t).truncated_inf(band) - bilinear_b(u, u, band=band)
+            du = f.field_at(t).truncated_inf(band) - bilinear_b(u, u, band=band)
+            return du, {
+                "visc": u.h_norm(1.0) ** 2,
+                "work_f": f.field_at(t).truncated_inf(band).inner(u),
+                "work_b": bilinear_b(u, u, band=band).inner(u),
+            }
 
-        acc = {
-            "visc": lambda u, t, i, stage: u.h_norm(1.0) ** 2,
-            "work_f": lambda u, t, i, stage: f.field_at(t).truncated_inf(band).inner(u),
-            "work_b": lambda u, t, i, stage: bilinear_b(u, u, band=band).inner(u),
-        }
-        ref = integrate(u0, nonlin, cfg.t_final, cfg.steps, band, acc_fns=acc)
+        ref = integrate(u0, nonlin, cfg.t_final, cfg.steps, band)
         assert all(np.array_equal(a.c, b.c) for a, b in zip(traj.fields, ref.fields))
-        for name in acc:
+        assert list(traj.acc) == list(ref.acc) == ["visc", "work_f", "work_b"]
+        for name in ref.acc:
             assert np.array_equal(traj.acc[name], ref.acc[name])
 
     def test_sinusoid_forcing_is_evaluated_per_stage(self, monkeypatch):
@@ -262,6 +263,23 @@ class TestSolveYX:
         sup = max(traj.besov_series(PARAMS.initial_regularity, PARAMS.p, PARAMS.r))
         first = besov_value(traj.fields[0], PARAMS.initial_regularity, PARAMS.p, PARAMS.r)
         assert sup == pytest.approx(first, rel=1e-12)
+
+    def test_y_is_the_direct_solve_with_stages(self):
+        cfg = SolverConfig(n=16, dt=0.01, t_final=0.05)
+        y0 = random_field(16, 2.0, 7, band=cfg.band, amplitude=1e-3)
+        h = ForcingSpec.from_modes(16, [((1, 1), 1e-3, "sinusoid", 3.0, 0.2)])
+        y = solve_y(y0, h, PARAMS, cfg)
+        ref = solve_direct(y0, h, cfg, record_stages=True)
+        assert all(np.array_equal(a.c, b.c) for a, b in zip(y.fields, ref.fields))
+        assert all(np.array_equal(a.c, b.c)
+                   for sa, sb in zip(y.stages, ref.stages) for a, b in zip(sa, sb))
+
+    def test_x_keeps_no_stage_states(self):
+        cfg = SolverConfig(n=16, dt=0.01, t_final=0.05)
+        y_traj = solve_y(SpectralField.zeros(16), ForcingSpec.zero(16), PARAMS, cfg)
+        x0 = SpectralField.from_modes(16, [((1, 0), 0.2)])
+        res = solve_x(x0, ForcingSpec.zero(16), y_traj, PARAMS, cfg)
+        assert res.trajectory.stages is None
 
     def test_x_reduces_to_stokes_for_shear_and_no_coupling(self):
         cfg = SolverConfig(n=16, dt=1e-3, t_final=0.2)
