@@ -32,7 +32,7 @@ from .errors import NstorusError
 from .fields import load_snapshot, random_field, save_snapshot
 from .nonlinear import EnsembleSpec, energy_lemma_ensemble, verify_estimate_chain
 from .scenario import Scenario
-from .solver import regularity_norms_y, solve_direct, solve_local, solve_split, uniqueness_probe
+from .solver import regularity_norms_y, solve_local, solve_split, uniqueness_probe
 from .stokes import stokes_solve
 from .trajectory import cumulative_trapezoid
 
@@ -216,7 +216,7 @@ def cmd_solve_split(args) -> int:
             extra_columns={"energy_residual": mon.residuals, "envelope": mon.envelope},
             meta=_meta(scenario),
         )
-        result.y_trajectory.to_csv(out / "rough_part.csv", meta=_meta(scenario))
+        result.x_result.y_trajectory.to_csv(out / "rough_part.csv", meta=_meta(scenario))
     _write_snapshots(scenario, result.direct, out)
     _write_json(out / "report.json", {
         "meta": _meta(scenario),
@@ -226,7 +226,7 @@ def cmd_solve_split(args) -> int:
         "sup_discrepancy": result.sup_discrepancy,
         "max_energy_residual": mon.max_residual,
         "gronwall_breached": mon.breached,
-        "y_regularity": regularity_norms_y(result.y_trajectory, scenario.params),
+        "y_regularity": regularity_norms_y(result.x_result.y_trajectory, scenario.params),
     })
     return 0
 
@@ -260,13 +260,10 @@ def cmd_uniqueness_probe(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = scenario.solver
-    u0 = scenario.initial_field()
-    forcing = scenario.forcing_spec()
-    traj = solve_direct(u0, forcing, cfg, record_stages=True)
     delta0 = random_field(cfg.n, 3.0, scenario.seed + 99, band=cfg.band,
                           amplitude=args.delta_amplitude)
-    report = uniqueness_probe(traj, traj, scenario.params, cfg, delta0=delta0,
-                              num_halvings=args.halvings)
+    report = uniqueness_probe(scenario.initial_field(), scenario.forcing_spec(), scenario.params,
+                              cfg, delta0=delta0, num_halvings=args.halvings)
     _write_json(out / "report.json", {
         "meta": _meta(scenario),
         "zero_start_exact": report.zero_start_exact,

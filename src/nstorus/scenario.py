@@ -10,6 +10,7 @@ scenario, and its hash is embedded in every artifact.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -53,10 +54,26 @@ class FieldSpec:
     band: int | None = None
 
 
+def _finite(text: str) -> float:
+    """The one conversion of scenario numbers: a float that is not NaN or infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _count(text: str) -> int:
+    """A non-negative integer (seeds and seed offsets)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 # Scenario keys solver.<name> and how their values parse; constants.<name> fill
 # SolverConfig.constants, and dealias and picard_tol keep their defaults.
-SOLVER_KEYS = {"n": int, "dt": float, "t_final": float, "split_eps": float,
-               "smallness_y0": float, "smallness_h": float}
+SOLVER_KEYS = {"n": int, "dt": _finite, "t_final": _finite, "split_eps": _finite,
+               "smallness_y0": _finite, "smallness_h": _finite}
 
 # The artifacts a run can write; a scenario lists some or all of them.
 REPORTS = ("trajectory", "report")
@@ -152,14 +169,10 @@ class Scenario:
 
         def take(key, default=None, conv=str):
             if key not in data:
-                if default is None:
-                    raise ScenarioError(f"missing required key {key!r}")
                 return default
             lineno, value = data.pop(key)
             try:
                 return conv(value)
-            except ScenarioError:
-                raise
             except Exception as exc:
                 raise ScenarioError(f"line {lineno}: field {key!r}: {exc}") from exc
 
@@ -177,7 +190,7 @@ class Scenario:
                 name = key.split(".", 1)[1]
                 if name not in DEFAULT_CONSTANTS.as_dict():
                     raise ScenarioError(f"unknown constant {name!r}")
-                const_kwargs[name] = take(key, conv=float)
+                const_kwargs[name] = take(key, conv=_finite)
         if const_kwargs:
             solver_kwargs["constants"] = replace(DEFAULT_CONSTANTS, **const_kwargs)
         try:
@@ -187,21 +200,27 @@ class Scenario:
 
         scenario = cls(
             name=take("name", default="run"),
-            seed=take("seed", default=0, conv=int),
+            seed=take("seed", default=0, conv=_count),
             params=params,
             solver=solver,
-            initial=_field_spec_from(data, "initial", tuple(modes["initial"])),
-            forcing=_field_spec_from(data, "forcing", tuple(modes["forcing"])),
-            snapshot_times=take(
-                "snapshot_times", default=(),
-                conv=lambda v: tuple(float(x) for x in v.split()),
-            ),
+            initial=_field_spec_from(take, "initial", tuple(modes["initial"])),
+            forcing=_field_spec_from(take, "forcing", tuple(modes["forcing"])),
+            snapshot_times=take("snapshot_times", default=(),
+                                conv=lambda v: _snapshot_times(v, solver.t_final)),
             reports=take("reports", default=REPORTS, conv=_parse_reports),
         )
         if data:
             key = next(iter(data))
             raise ScenarioError(f"line {data[key][0]}: unknown key {key!r}")
         return scenario
+
+
+def _snapshot_times(value: str, t_final: float) -> tuple:
+    times = tuple(_finite(x) for x in value.split())
+    for t in times:
+        if not 0.0 <= t <= t_final:
+            raise ValueError(f"time {t!r} outside [0, solver.t_final = {t_final!r}]")
+    return times
 
 
 def _parse_reports(value: str) -> tuple:
@@ -218,38 +237,28 @@ def _parse_mode(lineno: int, key: str, value: str) -> ModeEntry:
         raise ScenarioError(f"line {lineno}: {key} needs 'k1 k2 re im [law ...]'")
     try:
         k1, k2 = int(parts[0]), int(parts[1])
-        re, im = float(parts[2]), float(parts[3])
+        re, im = _finite(parts[2]), _finite(parts[3])
         law = parts[4] if len(parts) > 4 else "constant"
-        freq = float(parts[5]) if len(parts) > 5 else 0.0
-        phase = float(parts[6]) if len(parts) > 6 else 0.0
+        freq = _finite(parts[5]) if len(parts) > 5 else 0.0
+        phase = _finite(parts[6]) if len(parts) > 6 else 0.0
     except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: {key}: {exc}") from exc
+        raise ScenarioError(f"line {lineno}: field {key!r}: {exc}") from exc
     if law not in ("constant", "sinusoid"):
-        raise ScenarioError(f"line {lineno}: {key}: unknown law {law!r}")
+        raise ScenarioError(f"line {lineno}: field {key!r}: unknown law {law!r}")
     return ModeEntry(k1, k2, re, im, law, freq, phase)
 
 
-def _field_spec_from(data: dict, prefix: str, modes: tuple) -> FieldSpec:
-    def pop(key, default, conv):
-        if f"{prefix}.{key}" in data:
-            lineno, value = data.pop(f"{prefix}.{key}")
-            try:
-                return conv(value)
-            except Exception as exc:
-                raise ScenarioError(f"line {lineno}: field {prefix}.{key}: {exc}") from exc
-        return default
-
-    kind = pop("kind", "modes" if modes else "zero", str)
+def _field_spec_from(take, prefix: str, modes: tuple) -> FieldSpec:
+    kind = take(f"{prefix}.kind", "modes" if modes else "zero")
     if kind not in ("zero", "modes", "random"):
         raise ScenarioError(f"unknown {prefix}.kind {kind!r}")
-    band = pop("band", None, lambda v: int(v))
     return FieldSpec(
         kind=kind,
         modes=modes,
-        gamma=pop("gamma", 2.0, float),
-        amplitude=pop("amplitude", 1.0, float),
-        seed_offset=pop("seed_offset", 0, int),
-        band=band,
+        gamma=take(f"{prefix}.gamma", 2.0, _finite),
+        amplitude=take(f"{prefix}.amplitude", 1.0, _finite),
+        seed_offset=take(f"{prefix}.seed_offset", 0, _count),
+        band=take(f"{prefix}.band", None, int),
     )
 
 

@@ -9,10 +9,12 @@ energy-balance integrands it evaluates there; the step sums those with
 the RK4 weights, which keeps the discrete energy identity accurate to the
 scheme's own order instead of a lower-order quadrature.
 
-Trajectories record the integrator's internal stage states.  The coupled
-smooth-part equation is then driven by exactly the stage values a joint
-integration of both equations would use, so reconstructing the velocity as
-the sum of the two parts agrees with a direct solve down to round-off.
+Coupled equations are integrated as one system: the state is a tuple of
+fields, each advanced by the same operations it would see alone.  The
+rough and smooth parts of the split solve, and the velocity with its
+difference equations in the uniqueness probe, step together and share
+each stage's grid states, so reconstructing the velocity as the sum of
+the two parts agrees with a direct solve down to round-off.
 
 The inequality constants the continuous theory only proves to exist
 (norm_inv_d0phi, c1, c2, c3, the energy-lemma constant) are empirical
@@ -36,7 +38,6 @@ from .errors import (
     InadmissibleParams,
     NonConvergent,
     NonFiniteField,
-    ResolutionMismatch,
     SmallnessBoundViolation,
     SmallnessViolation,
 )
@@ -138,65 +139,58 @@ class Stepper:
         self.e_half = probe.radial_weights(lambda kk: np.exp(-0.5 * dt * kk.astype(float)))
         self.e_full = probe.radial_weights(lambda kk: np.exp(-dt * kk.astype(float)))
 
-    def step(self, u: SpectralField, t: float, nonlin, step_idx: int):
-        """Advance one step; returns (u_next, k1, stages (S2, S3, S4), increments).
+    def step(self, state: tuple, t: float, nonlin):
+        """Advance a tuple of fields one step; returns (state_next, k1, increments).
 
-        nonlin(field, t, step_idx, stage_idx) returns (du, integrands): the
+        nonlin(state, t) returns one (du, integrands) pair per component: the
         non-Stokes right side at a stage state and a dict of accumulator
-        integrands there ({} when nothing is accumulated).  increments maps
-        each integrand to (h/6)(w1 + 2 w2 + 2 w3 + w4) over the four stages.
+        integrands there ({} when nothing is accumulated).  Each component
+        gets the operations of a one-field step.  increments holds, per
+        component, each integrand's (h/6)(w1 + 2 w2 + 2 w3 + w4).
         """
-        h = self.dt
-        k1, w1 = nonlin(u, t, step_idx, 0)
-        s2 = (u + (0.5 * h) * k1).scale_radial(self.e_half)
-        k2, w2 = nonlin(s2, t + 0.5 * h, step_idx, 1)
-        s3 = u.scale_radial(self.e_half) + (0.5 * h) * k2
-        k3, w3 = nonlin(s3, t + 0.5 * h, step_idx, 2)
-        s4 = u.scale_radial(self.e_full) + h * k3.scale_radial(self.e_half)
-        k4, w4 = nonlin(s4, t + h, step_idx, 3)
-        u_next = u.scale_radial(self.e_full) + (h / 6.0) * (
-            k1.scale_radial(self.e_full)
-            + 2.0 * (k2 + k3).scale_radial(self.e_half)
-            + k4
-        )
-        increments = {name: (h / 6.0) * (w1[name] + 2.0 * w2[name] + 2.0 * w3[name] + w4[name])
-                      for name in w1}
-        return u_next, k1, (s2, s3, s4), increments
+        h, e_half, e_full = self.dt, self.e_half, self.e_full
+        k1, w1 = zip(*nonlin(state, t))
+        s2 = [(u + (0.5 * h) * k).scale_radial(e_half) for u, k in zip(state, k1)]
+        k2, w2 = zip(*nonlin(s2, t + 0.5 * h))
+        s3 = [u.scale_radial(e_half) + (0.5 * h) * k for u, k in zip(state, k2)]
+        k3, w3 = zip(*nonlin(s3, t + 0.5 * h))
+        s4 = [u.scale_radial(e_full) + h * k.scale_radial(e_half) for u, k in zip(state, k3)]
+        k4, w4 = zip(*nonlin(s4, t + h))
+        state_next = tuple(
+            u.scale_radial(e_full)
+            + (h / 6.0) * (a.scale_radial(e_full) + 2.0 * (b + c).scale_radial(e_half) + d)
+            for u, a, b, c, d in zip(state, k1, k2, k3, k4))
+        increments = [{k: (h / 6.0) * (a[k] + 2.0 * b[k] + 2.0 * c[k] + d[k]) for k in a}
+                      for a, b, c, d in zip(w1, w2, w3, w4)]
+        return state_next, k1, increments
 
 
-def integrate(u0: SpectralField, nonlin, t_final: float, steps: int, band: int,
-              record_stages: bool = False) -> Trajectory:
-    """Integrate u' + Au = du from the band-truncated initial state.
+def integrate(state0: tuple, nonlin, t_final: float, steps: int, band: int) -> tuple:
+    """Integrate u' + Au = du for each component from the band-truncated state.
 
-    nonlin(u, t, step_idx, stage_idx) returns (du, integrands) at each
-    stage, as Stepper.step describes.  Trajectory.acc holds the running
-    integral of each integrand at the samples, starting from 0, in the
-    order nonlin lists the integrands.
+    nonlin(state, t) returns one (du, integrands) pair per component at each
+    stage, as Stepper.step describes.  Returns one Trajectory per component,
+    whose acc holds the running integral of each of its integrands at the
+    samples, starting from 0, in the order nonlin lists them.
     """
     dt = t_final / steps
-    stepper = Stepper(u0.n, dt)
-    u = u0.truncated_inf(band)
+    stepper = Stepper(state0[0].n, dt)
     times = np.linspace(0.0, t_final, steps + 1)
-    fields = [u]
-    derivs = []
-    stages = [] if record_stages else None
-    acc: dict = {}
+    states = [tuple(u.truncated_inf(band) for u in state0)]
+    derivs, increments = [], []
     for i in range(steps):
-        t = float(times[i])
-        u_next, k1, st, increments = stepper.step(u, t, nonlin, i)
-        if u_next.has_nonfinite():
+        t, state = float(times[i]), states[-1]
+        state_next, k1, inc = stepper.step(state, t, nonlin)
+        if any(u.has_nonfinite() for u in state_next):
             raise NonFiniteField(f"non-finite coefficient after step {i} (t = {t + dt:.6g})")
-        derivs.append(k1 - apply_a(u))
-        if record_stages:
-            stages.append(st)
-        for name, inc in increments.items():
-            series = acc.setdefault(name, [0.0])
-            series.append(series[-1] + inc)
-        u = u_next
-        fields.append(u)
-    derivs.append(nonlin(u, float(times[-1]), steps, 0)[0] - apply_a(u))
-    return Trajectory(times, fields, derivs=derivs, stages=stages,
-                      acc={k: np.array(v) for k, v in acc.items()})
+        derivs.append([k - apply_a(u) for u, k in zip(state, k1)])
+        increments.append(inc)
+        states.append(state_next)
+    last = zip(states[-1], nonlin(states[-1], float(times[-1])))
+    derivs.append([du - apply_a(u) for u, (du, _) in last])
+    return tuple(Trajectory(times, list(f), derivs=list(d),
+                            acc={k: np.cumsum([0.0] + [w[k] for w in inc]) for k in inc[0]})
+                 for f, d, inc in zip(zip(*states), zip(*derivs), zip(*increments)))
 
 
 def _band_forcing(forcing, band: int):
@@ -210,8 +204,14 @@ def _band_forcing(forcing, band: int):
     return lambda t: forcing.field_at(t).truncated_inf(band)
 
 
+def _self_product(u: SpectralField, gu, band: int) -> SpectralField:
+    """B(u, u) on u's own grid, as its stand-alone solve has it: from gu when gu is on it."""
+    g = gu if gu.m == product_grid(u.max_mode_inf, u.max_mode_inf, band) else u
+    return bilinear_b(g, g, band=band)
+
+
 def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
-                 record_stages: bool = False, monitor: bool = False) -> Trajectory:
+                 monitor: bool = False) -> Trajectory:
     """Direct integration of the full equation u' + Au + B(u,u) = f on the band.
 
     With monitor, the energy-balance integrands ||u||_{H1}^2, <f, u> and
@@ -220,15 +220,16 @@ def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
     band = config.band
     force = _band_forcing(forcing, band)
 
-    def nonlin(u, t, i, stage):
+    def nonlin(state, t):
+        (u,) = state
         f = force(t)
         b = bilinear_b(u, u, band=band)
         if not monitor:
-            return f - b, {}
-        return f - b, {"visc": u.h_norm(1.0) ** 2, "work_f": f.inner(u), "work_b": b.inner(u)}
+            return ((f - b, {}),)
+        return ((f - b, {"visc": u.h_norm(1.0) ** 2, "work_f": f.inner(u), "work_b": b.inner(u)}),)
 
-    return integrate(u0, nonlin, config.t_final, config.steps, band,
-                     record_stages=record_stages)
+    (traj,) = integrate((u0,), nonlin, config.t_final, config.steps, band)
+    return traj
 
 
 # -- local solve with the smallness time bound ------------------------------------
@@ -378,8 +379,8 @@ def split_data(u0: SpectralField, forcing: ForcingSpec, eps_split: float, params
     )
 
 
-def solve_y(y0: SpectralField, h: ForcingSpec, params, config: SolverConfig) -> Trajectory:
-    """Rough-part solve y' + Ay + B(y,y) = h under the smallness thresholds."""
+def _check_rough_data(y0: SpectralField, h: ForcingSpec, params, config: SolverConfig) -> None:
+    """The smallness thresholds the rough-part data must meet."""
     y0_norm = besov_value(y0, params.initial_regularity, params.p, params.r)
     if y0_norm > config.smallness_y0:
         raise SmallnessViolation(
@@ -390,7 +391,12 @@ def solve_y(y0: SpectralField, h: ForcingSpec, params, config: SolverConfig) -> 
         raise SmallnessViolation(
             f"forcing norm {h_norm:.3e} exceeds threshold {config.smallness_h:.3e}"
         )
-    return solve_direct(y0, h, config, record_stages=True)
+
+
+def solve_y(y0: SpectralField, h: ForcingSpec, params, config: SolverConfig) -> Trajectory:
+    """Rough-part solve y' + Ay + B(y,y) = h under the smallness thresholds."""
+    _check_rough_data(y0, h, params, config)
+    return solve_direct(y0, h, config)
 
 
 def regularity_norms_y(traj: Trajectory, params) -> dict:
@@ -421,44 +427,39 @@ class EnergyMonitor:
 @dataclass
 class XResult:
     trajectory: Trajectory
+    y_trajectory: Trajectory
     monitor: EnergyMonitor
 
 
-def _stage_field(traj: Trajectory, step_idx: int, stage: int) -> SpectralField:
-    if stage == 0:
-        return traj.fields[step_idx]
-    return traj.stages[step_idx][stage - 1]
-
-
-def solve_x(x0: SpectralField, g: ForcingSpec, y_traj: Trajectory, params,
+def solve_x(x0: SpectralField, g: ForcingSpec, y0: SpectralField, h: ForcingSpec, params,
             config: SolverConfig) -> XResult:
-    """Smooth-part solve driven by the stored rough-part stage states.
+    """Smooth-part solve, integrated as one system with the rough part driving it.
 
-    Integrates x' + Ax + B(x,x) + B(x,y) + B(y,x) = g, carrying the energy
-    accumulators with the same RK4 weights, then evaluates the discrete
-    energy identity at every sample and the a priori envelope implied by
-    the configured energy-lemma constant.
+    After the rough-part smallness checks, (y, x) is integrated jointly:
+    y' + Ay + B(y,y) = h and x' + Ax + B(x,x) + B(x,y) + B(y,x) = g, with the
+    grid states of y and x built once per stage and the energy accumulators
+    of x carried with the same RK4 weights.  Then the discrete energy
+    identity is evaluated at every sample, with the a priori envelope
+    implied by the configured energy-lemma constant.
     """
-    if y_traj.stages is None:
-        raise ValueError("y trajectory must carry stage states")
-    steps = config.steps
-    if len(y_traj.fields) != steps + 1:
-        raise ResolutionMismatch("y trajectory grid does not match the solver grid")
+    _check_rough_data(y0, h, params, config)
     band = config.band
-    force = _band_forcing(g, band)
+    force_h = _band_forcing(h, band)
+    force_g = _band_forcing(g, band)
 
-    def nonlin(x, t, i, stage):
-        y = _stage_field(y_traj, i, stage)
-        gx, gy = grid_states((x, y), band)
-        f = force(t)
+    def nonlin(state, t):
+        y, x = state
+        gy, gx = grid_states(state, band)
+        f = force_g(t)
         bxx = bilinear_b(gx, gx, band=band)
-        du = f - bxx - bilinear_b(gx, gy, band=band) - bilinear_b(gy, gx, band=band)
-        return du, {"visc": x.h_norm(1.0) ** 2, "work_b": bxx.inner(y), "work_g": f.inner(x)}
+        dx = f - bxx - bilinear_b(gx, gy, band=band) - bilinear_b(gy, gx, band=band)
+        return ((force_h(t) - _self_product(y, gy, band), {}),
+                (dx, {"visc": x.h_norm(1.0) ** 2, "work_b": bxx.inner(y), "work_g": f.inner(x)}))
 
     x0b = x0.truncated_inf(band)
-    traj = integrate(x0b, nonlin, config.t_final, steps, band)
+    y_traj, traj = integrate((y0, x0b), nonlin, config.t_final, config.steps, band)
     monitor = build_energy_monitor(traj, y_traj, g, x0b, params, config)
-    return XResult(traj, monitor)
+    return XResult(traj, y_traj, monitor)
 
 
 def build_energy_monitor(traj: Trajectory, y_traj: Trajectory, g: ForcingSpec,
@@ -486,7 +487,6 @@ def build_energy_monitor(traj: Trajectory, y_traj: Trajectory, g: ForcingSpec,
 @dataclass
 class SplitResult:
     split: SplitData
-    y_trajectory: Trajectory
     x_result: XResult
     u_fields: list
     direct: Trajectory
@@ -506,12 +506,11 @@ def solve_split(u0: SpectralField, forcing: ForcingSpec, params,
             f"global gate failed: failed={gate.failed_ids} boundary={gate.boundary_ids}"
         )
     split = split_data(u0, forcing, config.split_eps, params, config.t_final)
-    y_traj = solve_y(split.y0, split.h, params, config)
-    x_res = solve_x(split.x0, split.g, y_traj, params, config)
-    u_fields = [x + y for x, y in zip(x_res.trajectory.fields, y_traj.fields)]
+    x_res = solve_x(split.x0, split.g, split.y0, split.h, params, config)
+    u_fields = [x + y for x, y in zip(x_res.trajectory.fields, x_res.y_trajectory.fields)]
     direct = solve_direct(u0, forcing, config)
     disc = np.array([(a - b).l2_norm() for a, b in zip(u_fields, direct.fields)])
-    return SplitResult(split, y_traj, x_res, u_fields, direct, disc)
+    return SplitResult(split, x_res, u_fields, direct, disc)
 
 
 # -- uniqueness probe ---------------------------------------------------------------
@@ -527,63 +526,55 @@ class UniquenessReport:
     envelope_holds: bool | None
 
 
-def uniqueness_probe(u_traj: Trajectory, ut_traj: Trajectory, params, config: SolverConfig,
+def uniqueness_probe(u0: SpectralField, forcing, params, config: SolverConfig,
                      delta0: SpectralField | None = None, num_halvings: int = 8) -> UniquenessReport:
     """Probe the contraction mechanism behind uniqueness.
 
-    From delta(0) = 0 the difference equation delta' + A delta + B(u, delta)
-    + B(delta, u~) = 0 is integrated and must stay exactly zero.  The
-    contraction coefficient C_u(T) = C2 ||u||_{L^r(0,T; B^{2/p+2/r-1}_{p,q})}
-    is evaluated on a halving sequence of windows.  With a nonzero delta(0)
-    the decay of ||delta|| is reported against the exponential envelope
-    implied by the configured Ladyzhenskaya constant.
+    The velocity u' + Au + B(u,u) = f is integrated as one system with the
+    difference equation delta' + A delta + B(u, delta) + B(delta, u) = 0,
+    once from delta(0) = 0, which must stay exactly zero, and once from a
+    nonzero delta(0) when one is given.  The contraction coefficient
+    C_u(T) = C2 ||u||_{L^r(0,T; B^{2/p+2/r-1}_{p,q})} is evaluated on a
+    halving sequence of windows.  With a nonzero delta(0) the decay of
+    ||delta|| is reported against the exponential envelope implied by the
+    configured Ladyzhenskaya constant.
     """
-    if u_traj.stages is None or ut_traj.stages is None:
-        raise ValueError("both trajectories must carry stage states")
-    if len(u_traj.fields) != len(ut_traj.fields):
-        raise ResolutionMismatch("trajectories must share the sample grid")
-    steps = len(u_traj.fields) - 1
+    steps = config.steps
     band = config.band
-    t_final = u_traj.t_final
+    force = _band_forcing(forcing, band)
 
-    def nonlin_delta(d, t, i, stage):
-        u = _stage_field(u_traj, i, stage)
-        ut = _stage_field(ut_traj, i, stage)
-        gu, gd, gt = grid_states((u, d, ut), band)
-        return -bilinear_b(gu, gd, band=band) - bilinear_b(gd, gt, band=band), {}
+    def nonlin(state, t):
+        gu, *gds = grid_states(state, band)
+        du = force(t) - _self_product(state[0], gu, band)
+        return ((du, {}),) + tuple(
+            (-bilinear_b(gu, gd, band=band) - bilinear_b(gd, gu, band=band), {}) for gd in gds
+        )
 
-    zero_traj = integrate(SpectralField.zeros(u_traj.n), nonlin_delta, t_final, steps, band)
+    state0 = (u0, SpectralField.zeros(u0.n))
+    if delta0 is not None and not delta0.is_zero():
+        state0 += (delta0,)
+    u_traj, zero_traj, *d_traj = integrate(state0, nonlin, config.t_final, steps, band)
     zero_exact = all(not np.any(f.c) for f in zero_traj.fields)
 
     # contraction coefficient over halving windows
     sigma = Fraction(2) / params.p + Fraction(2) / params.r - 1
     u_vals = u_traj.besov_series(sigma, params.p, params.q)
     times = u_traj.times
-    c2 = config.constants.c2
-    windows = []
-    values = []
-    for j in range(num_halvings + 1):
-        frac = 2.0 ** (-j)
-        idx = int(round(steps * frac))
-        if idx < 1:
-            break
-        windows.append(times[idx])
-        values.append(c2 * lr_time_norm(times[: idx + 1], params.r, u_vals[: idx + 1]))
+    ends = [k for k in (int(round(steps * 2.0 ** -j)) for j in range(num_halvings + 1)) if k >= 1]
+    values = [config.constants.c2 * lr_time_norm(times[: k + 1], params.r, u_vals[: k + 1])
+              for k in ends]
 
-    delta_norms = None
-    envelope = None
-    holds = None
-    if delta0 is not None and not delta0.is_zero():
-        d_traj = integrate(delta0, nonlin_delta, t_final, steps, band)
-        delta_norms = d_traj.series(lambda f: f.l2_norm())
-        ut_h1 = ut_traj.series(lambda f: f.h_norm(1.0) ** 2)
-        growth = cumulative_trapezoid(times, ut_h1)
+    delta_norms = envelope = holds = None
+    if d_traj:
+        delta_norms = d_traj[0].series(lambda f: f.l2_norm())
+        u_h1 = u_traj.series(lambda f: f.h_norm(1.0) ** 2)
+        growth = cumulative_trapezoid(times, u_h1)
         c_l = config.constants.c_ladyzhenskaya
         envelope = delta_norms[0] * np.exp(0.5 * c_l**2 * growth)
         holds = bool(np.all(delta_norms <= envelope * (1.0 + 1e-8)))
     return UniquenessReport(
         zero_start_exact=zero_exact,
-        contraction_times=np.array(windows),
+        contraction_times=times[ends],
         contraction_values=np.array(values),
         delta_norms=delta_norms,
         delta_envelope=envelope,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import besov_value
-from .errors import ResolutionMismatch
+from .errors import NonFiniteField, ResolutionMismatch
 from .fields import SpectralField, random_field
 from .trajectory import Trajectory, lr_time_norm
 
@@ -199,7 +199,8 @@ def stokes_solve(u0: SpectralField, forcing, t_final: float, steps: int) -> Traj
 
     Closed-form Duhamel for ForcingSpec laws; the piecewise-constant rule
     (each interval integrated exactly) for SampledForcing.  Derivative
-    samples are taken from the equation, u' = f - Au.
+    samples are taken from the equation, u' = f - Au.  A non-finite
+    coefficient at any sample raises NonFiniteField.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -221,6 +222,9 @@ def stokes_solve(u0: SpectralField, forcing, t_final: float, steps: int) -> Traj
     else:
         for t in times:
             fields.append(semigroup(u0, float(t)) + forcing.duhamel_term(float(t)))
+    bad = next((i for i, u in enumerate(fields) if u.has_nonfinite()), None)
+    if bad is not None:
+        raise NonFiniteField(f"non-finite coefficient at sample {bad} (t = {times[bad]:.6g})")
     derivs = [forcing.field_at(float(t)) - apply_a(u) for t, u in zip(times, fields)]
     return Trajectory(times, fields, derivs=derivs)
 

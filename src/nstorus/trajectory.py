@@ -3,10 +3,9 @@
 This module is the single home of the time rule: every time integral in
 the package is the composite trapezoid rule on the sample grid, either as
 the L^r-in-time norm (lr_time_norm) or as a running integral
-(cumulative_trapezoid).  A trajectory may carry the integrator's internal
-stage states so that a coupled equation can be driven by exactly the stage
-values a joint integration would use, and named accumulators integrated
-alongside the state by the same scheme.
+(cumulative_trapezoid).  A trajectory may carry named accumulators
+integrated alongside the state by the same scheme.  Coupled equations are
+integrated as one system, which gives one trajectory per component.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class Trajectory:
     times: np.ndarray
     fields: list
     derivs: list | None = None
-    stages: list | None = None  # per step (S2, S3, S4) stage states
     acc: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -45,14 +43,6 @@ class Trajectory:
             raise ValueError("times and fields must align")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must be strictly increasing")
-
-    @property
-    def n(self) -> int:
-        return self.fields[0].n
-
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
 
     def series(self, fn) -> np.ndarray:
         return np.array([fn(u) for u in self.fields], dtype=float)

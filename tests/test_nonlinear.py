@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nstorus.besov import BesovParams
 from nstorus.errors import InadmissibleParams, OracleCapExceeded, ResolutionMismatch
@@ -67,13 +69,22 @@ class TestBilinear:
         b = bilinear_b_oracle(u, v)
         assert np.array_equal(a.c, 0.5 * b.c)
 
-    def test_bilinearity(self):
-        n = 16
-        u1, u2, v = (random_field(n, 1.0, s, band=dealias_band(n)) for s in (5, 6, 7))
-        lhs = bilinear_b(u1 + 2.0 * u2, v)
-        rhs = bilinear_b(u1, v) + 2.0 * bilinear_b(u2, v)
-        scale = max(np.max(np.abs(rhs.c)), 1e-300)
-        assert np.max(np.abs(lhs.c - rhs.c)) <= 1e-12 * scale
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(half=st.integers(2, 16), data=st.data())
+    def test_bilinearity(self, half, data):
+        n = 2 * half
+        band = dealias_band(n)
+        u1, u2, v = (random_field(n, 1.0, data.draw(st.integers(0, 10_000), label="seed"),
+                                  band=data.draw(st.integers(0, band), label="support"))
+                     for _ in range(3))
+        a, b = (data.draw(st.floats(-1e3, 1e3, allow_nan=False), label="scalar") for _ in range(2))
+        w = a * u1 + b * u2
+        # round-off of one product is bounded by sum|u_k| * sum 2 pi |k| |v_k|
+        l1 = lambda f: float(np.sum(np.abs(f.c)))
+        scale = (abs(a) * l1(u1) + abs(b) * l1(u2)) * 2.0 * np.pi * n * l1(v)
+        for lhs, rhs in ((bilinear_b(w, v), a * bilinear_b(u1, v) + b * bilinear_b(u2, v)),
+                         (bilinear_b(v, w), a * bilinear_b(v, u1) + b * bilinear_b(v, u2))):
+            assert np.max(np.abs(lhs.c - rhs.c)) <= 1e-16 * scale
 
     def test_oracle_cap(self):
         u = random_field(32, 1.0, 1)

@@ -126,7 +126,7 @@ def scenarios(draw):
         solver=solver,
         initial=draw(field_specs(with_law=False)),
         forcing=draw(field_specs(with_law=True)),
-        snapshot_times=tuple(draw(st.lists(POSITIVE, max_size=3))),
+        snapshot_times=tuple(draw(st.lists(st.floats(0.0, t_final), max_size=3))),
         reports=tuple(draw(st.lists(st.sampled_from(["trajectory", "report"]),
                                     min_size=1, max_size=2, unique=True))),
     )
@@ -249,6 +249,16 @@ class TestCli:
     @pytest.mark.parametrize("line,key", [
         ("constants.c1 = abc", "constants.c1"),
         ("reports = trajectry", "reports"),
+        ("constants.c2 = -inf", "constants.c2"),
+        ("solver.split_eps = nan", "solver.split_eps"),
+        ("forcing.gamma = nan", "forcing.gamma"),
+        ("initial.amplitude = inf", "initial.amplitude"),
+        ("initial.seed_offset = -1", "initial.seed_offset"),
+        ("forcing.mode = 2 1 nan 0.0", "forcing.mode"),
+        ("forcing.mode = 2 1 0.1 0.0 sinusoid inf 0.0", "forcing.mode"),
+        ("snapshot_times = 0.0 nan", "snapshot_times"),
+        ("snapshot_times = 0.0 5.0", "snapshot_times"),
+        ("snapshot_times = -0.01", "snapshot_times"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, line, key):
         scn = tmp_path / "bad.scn"
@@ -258,6 +268,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ScenarioError: line 14: ")
         assert repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old,new,lineno,key", [
+        ("seed = 7", "seed = -3", 2, "seed"),
+        ("solver.dt = 0.01", "solver.dt = nan", 8, "solver.dt"),
+        ("solver.t_final = 0.1", "solver.t_final = inf", 9, "solver.t_final"),
+        ("initial.mode = 1 0 0.05 0.0", "initial.mode = 1 0 0.05 -inf", 11, "initial.mode"),
+    ])
+    def test_bad_existing_value_names_its_key(self, tmp_path, capsys, old, new, lineno, key):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(SCENARIO_TEXT.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["stokes", "--scenario", str(scn), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ScenarioError: line {lineno}: field {key!r}: ")
         assert not out.exists()
 
     def test_truncated_snapshot_reported_by_type(self, tmp_path, capsys):

@@ -58,16 +58,57 @@ class TestStep:
         cfg = SolverConfig(n=16, dt=0.01, t_final=0.05)
         u0 = random_field(16, 1.0, 3, band=cfg.band)
 
-        def no_nonlin(u, t, i, stage):
-            return SpectralField.zeros(16), {}
+        def no_nonlin(state, t):
+            return ((SpectralField.zeros(16), {}),)
 
-        traj = integrate(u0, no_nonlin, cfg.t_final, cfg.steps, cfg.band)
+        (traj,) = integrate((u0,), no_nonlin, cfg.t_final, cfg.steps, cfg.band)
         for t, u in zip(traj.times, traj.fields):
             ref = semigroup(u0, float(t))
             mask = np.abs(ref.c) > 0
             if mask.any():
                 rel = np.max(np.abs(u.c[mask] - ref.c[mask]) / np.abs(ref.c[mask]))
                 assert rel <= 1e-14
+
+    def test_uncoupled_components_step_as_if_alone(self):
+        cfg = SolverConfig(n=16, dt=0.01, t_final=0.1)
+        band = cfg.band
+        u0 = random_field(16, 2.0, 3, band=band, amplitude=0.5)
+        v0 = random_field(16, 1.5, 4, band=2, amplitude=0.2)
+        f = ForcingSpec.from_modes(16, [((1, 1), 0.1, "sinusoid", 3.0, 0.2)])
+        forcings = (f, ForcingSpec.zero(16))
+
+        def direct(u, t, forcing):
+            fu = forcing.field_at(t).truncated_inf(band)
+            b = bilinear_b(u, u, band=band)
+            return fu - b, {"visc": u.h_norm(1.0) ** 2, "work_b": b.inner(u)}
+
+        def rhs(*forcing):
+            return lambda state, t: tuple(direct(u, t, g) for u, g in zip(state, forcing))
+
+        pair = integrate((u0, v0), rhs(*forcings), cfg.t_final, cfg.steps, band)
+        alone = [integrate((w0,), rhs(g), cfg.t_final, cfg.steps, band)[0]
+                 for w0, g in zip((u0, v0), forcings)]
+        for joint, single in zip(pair, alone):
+            assert all(np.array_equal(a.c, b.c) for a, b in zip(joint.fields, single.fields))
+            assert all(np.array_equal(a.c, b.c) for a, b in zip(joint.derivs, single.derivs))
+            assert list(joint.acc) == list(single.acc) == ["visc", "work_b"]
+            for name in single.acc:
+                assert np.array_equal(joint.acc[name], single.acc[name])
+
+    def test_accumulators_are_left_to_right_running_sums(self):
+        # the integrand is the stage time, so each step's increment is known exactly
+        cfg = SolverConfig(n=8, dt=0.1, t_final=1.0)
+
+        def nonlin(state, t):
+            return ((SpectralField.zeros(8), {"t": t}),)
+
+        (traj,) = integrate((SpectralField.zeros(8),), nonlin, cfg.t_final, cfg.steps, cfg.band)
+        h = cfg.t_final / cfg.steps
+        expected = [0.0]
+        for t in map(float, traj.times[:-1]):
+            mid = t + 0.5 * h
+            expected.append(expected[-1] + (h / 6.0) * (t + 2.0 * mid + 2.0 * mid + (t + h)))
+        assert traj.acc["t"].tolist() == expected
 
     def test_shear_mode_pure_decay(self):
         cfg = SolverConfig(n=16, dt=0.01, t_final=0.2)
@@ -133,15 +174,16 @@ class TestStageWork:
         # the reused stage products give the accumulators of a recomputing monitor
         band = cfg.band
 
-        def nonlin(u, t, i, stage):
+        def nonlin(state, t):
+            (u,) = state
             du = f.field_at(t).truncated_inf(band) - bilinear_b(u, u, band=band)
-            return du, {
+            return ((du, {
                 "visc": u.h_norm(1.0) ** 2,
                 "work_f": f.field_at(t).truncated_inf(band).inner(u),
                 "work_b": bilinear_b(u, u, band=band).inner(u),
-            }
+            }),)
 
-        ref = integrate(u0, nonlin, cfg.t_final, cfg.steps, band)
+        (ref,) = integrate((u0,), nonlin, cfg.t_final, cfg.steps, band)
         assert all(np.array_equal(a.c, b.c) for a, b in zip(traj.fields, ref.fields))
         assert list(traj.acc) == list(ref.acc) == ["visc", "work_f", "work_b"]
         for name in ref.acc:
@@ -264,28 +306,41 @@ class TestSolveYX:
         first = besov_value(traj.fields[0], PARAMS.initial_regularity, PARAMS.p, PARAMS.r)
         assert sup == pytest.approx(first, rel=1e-12)
 
-    def test_y_is_the_direct_solve_with_stages(self):
+    def test_y_is_the_direct_solve(self):
         cfg = SolverConfig(n=16, dt=0.01, t_final=0.05)
         y0 = random_field(16, 2.0, 7, band=cfg.band, amplitude=1e-3)
         h = ForcingSpec.from_modes(16, [((1, 1), 1e-3, "sinusoid", 3.0, 0.2)])
         y = solve_y(y0, h, PARAMS, cfg)
-        ref = solve_direct(y0, h, cfg, record_stages=True)
+        ref = solve_direct(y0, h, cfg)
         assert all(np.array_equal(a.c, b.c) for a, b in zip(y.fields, ref.fields))
-        assert all(np.array_equal(a.c, b.c)
-                   for sa, sb in zip(y.stages, ref.stages) for a, b in zip(sa, sb))
+        assert all(np.array_equal(a.c, b.c) for a, b in zip(y.derivs, ref.derivs))
 
-    def test_x_keeps_no_stage_states(self):
+    @pytest.mark.parametrize("y_band", [1, 2, 5])
+    def test_split_y_is_the_stand_alone_rough_solve(self, y_band):
+        # y_band < 5 starts x on a larger grid than y's own, so B(y,y) must leave the shared grid
         cfg = SolverConfig(n=16, dt=0.01, t_final=0.05)
-        y_traj = solve_y(SpectralField.zeros(16), ForcingSpec.zero(16), PARAMS, cfg)
-        x0 = SpectralField.from_modes(16, [((1, 0), 0.2)])
-        res = solve_x(x0, ForcingSpec.zero(16), y_traj, PARAMS, cfg)
-        assert res.trajectory.stages is None
+        y0 = random_field(16, 2.0, 7, band=y_band, amplitude=1e-3)
+        h = ForcingSpec.from_modes(16, [((2, 1), 1e-3, "sinusoid", 3.0, 0.2)])
+        x0 = random_field(16, 2.0, 8, band=cfg.band, amplitude=0.3)
+        res = solve_x(x0, ForcingSpec.zero(16), y0, h, PARAMS, cfg)
+        ref = solve_y(y0, h, PARAMS, cfg)
+        y = res.y_trajectory
+        assert all(np.array_equal(a.c, b.c) for a, b in zip(y.fields, ref.fields))
+        assert all(np.array_equal(a.c, b.c) for a, b in zip(y.derivs, ref.derivs))
+        assert y.acc == {}
+        assert list(res.trajectory.acc) == ["visc", "work_b", "work_g"]
+
+    def test_x_checks_the_rough_data_first(self):
+        cfg = SolverConfig(n=16, dt=0.02, t_final=0.2, smallness_y0=1e-6)
+        with pytest.raises(SmallnessViolation):
+            solve_x(SpectralField.zeros(16), ForcingSpec.zero(16),
+                    random_field(16, 1.0, 2, amplitude=1.0), ForcingSpec.zero(16), PARAMS, cfg)
 
     def test_x_reduces_to_stokes_for_shear_and_no_coupling(self):
         cfg = SolverConfig(n=16, dt=1e-3, t_final=0.2)
-        y_traj = solve_y(SpectralField.zeros(16), ForcingSpec.zero(16), PARAMS, cfg)
         x0 = SpectralField.from_modes(16, [((2, 0), 0.5)])
-        res = solve_x(x0, ForcingSpec.zero(16), y_traj, PARAMS, cfg)
+        res = solve_x(x0, ForcingSpec.zero(16), SpectralField.zeros(16), ForcingSpec.zero(16),
+                      PARAMS, cfg)
         ref = stokes_solve(x0, ForcingSpec.zero(16), cfg.t_final, cfg.steps)
         diff = max((a - b).l2_norm() for a, b in zip(res.trajectory.fields, ref.fields))
         assert diff <= 1e-12
@@ -308,13 +363,13 @@ class TestSolveSplit:
         u0 = random_field(16, 2.2, 42, band=5, amplitude=0.4)
         f = ForcingSpec.from_random(16, 2.4, 43, amplitude=0.3, band=5)
         res = solve_split(u0, f, PARAMS, cfg)
-        assert not res.y_trajectory.fields[0].is_zero()
+        assert not res.x_result.y_trajectory.fields[0].is_zero()
         assert res.sup_discrepancy <= 1e-10
         assert res.x_result.monitor.max_residual <= 1e-6
         assert not res.x_result.monitor.breached
         from nstorus.solver import regularity_norms_y
 
-        norms = regularity_norms_y(res.y_trajectory, PARAMS)
+        norms = regularity_norms_y(res.x_result.y_trajectory, PARAMS)
         assert all(np.isfinite(v) and v >= 0 for v in norms.values())
 
     def test_global_gate_enforced(self):
@@ -328,19 +383,37 @@ class TestUniqueness:
     def test_zero_start_identically_zero_and_contraction(self):
         cfg = SolverConfig(n=16, dt=0.2 / 64, t_final=0.2)
         u0 = random_field(16, 2.0, 3, band=cfg.band, amplitude=0.5)
-        traj = solve_direct(u0, ForcingSpec.zero(16), cfg, record_stages=True)
-        rep = uniqueness_probe(traj, traj, PARAMS, cfg,
+        rep = uniqueness_probe(u0, ForcingSpec.zero(16), PARAMS, cfg,
                                delta0=random_field(16, 3.0, 5, band=cfg.band, amplitude=1e-4),
                                num_halvings=4)
         assert rep.zero_start_exact
         assert np.all(np.diff(rep.contraction_values) < 0)
         assert rep.envelope_holds
 
-    def test_requires_stages(self):
+    def test_velocity_is_the_direct_solve(self, monkeypatch):
+        # u starts on a smaller grid than delta, so B(u,u) must leave the shared grid
+        cfg = SolverConfig(n=16, dt=0.01, t_final=0.08)
+        u0 = random_field(16, 2.0, 3, band=2, amplitude=0.5)
+        f = ForcingSpec.from_modes(16, [((1, 1), 0.1, "sinusoid", 3.0, 0.2)])
+        delta0 = random_field(16, 3.0, 5, band=cfg.band, amplitude=1e-4)
+        runs = []
+        original = solver.integrate
+        monkeypatch.setattr(solver, "integrate",
+                            lambda *args: runs.append(original(*args)) or runs[-1])
+        rep = uniqueness_probe(u0, f, PARAMS, cfg, delta0=delta0)
+        ((u_traj, zero_traj, d_traj),) = runs
+        ref = solve_direct(u0, f, cfg)
+        assert all(np.array_equal(a.c, b.c) for a, b in zip(u_traj.fields, ref.fields))
+        assert all(np.array_equal(a.c, b.c) for a, b in zip(u_traj.derivs, ref.derivs))
+        assert rep.zero_start_exact and all(f.is_zero() for f in zero_traj.fields)
+        assert np.array_equal(rep.delta_norms, d_traj.series(lambda f: f.l2_norm()))
+
+    def test_no_delta_without_nonzero_start(self):
         cfg = SolverConfig(n=16, dt=0.05, t_final=0.2)
-        traj = solve_direct(SpectralField.zeros(16), ForcingSpec.zero(16), cfg)
-        with pytest.raises(ValueError):
-            uniqueness_probe(traj, traj, PARAMS, cfg)
+        rep = uniqueness_probe(SpectralField.zeros(16), ForcingSpec.zero(16), PARAMS, cfg,
+                               delta0=SpectralField.zeros(16))
+        assert rep.zero_start_exact
+        assert rep.delta_norms is None and rep.envelope_holds is None
 
 
 class TestEstimator:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nstorus.besov import BesovParams, besov_value
-from nstorus.errors import ResolutionMismatch
+from nstorus.errors import NonFiniteField, ResolutionMismatch
 from nstorus.fields import SpectralField, random_field
 from nstorus.stokes import (
     ForcingSpec,
@@ -137,6 +137,17 @@ class TestStokesSolve:
         sampled = SampledForcing(np.linspace(0, 1, 5), [SpectralField.zeros(8)] * 5)
         with pytest.raises(ResolutionMismatch):
             stokes_solve(SpectralField.zeros(8), sampled, 1.0, 10)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_solution_rejected(self):
+        with pytest.raises(NonFiniteField, match="sample 0"):
+            stokes_solve(SpectralField.zeros(8), ForcingSpec.from_random(8, float("nan"), 3),
+                         1.0, 10)
+        fields = [SpectralField.zeros(8)] * 11
+        fields[3] = SpectralField.from_modes(8, [((1, 1), float("inf"))])
+        with pytest.raises(NonFiniteField, match="sample 4"):
+            stokes_solve(SpectralField.zeros(8), SampledForcing(np.linspace(0, 1, 11), fields),
+                         1.0, 10)
 
     def test_unresolvable_forcing_mode_rejected(self):
         with pytest.raises(ResolutionMismatch):

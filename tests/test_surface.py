@@ -1,0 +1,66 @@
+"""The package's settable surface, pinned so that no option is added unnoticed."""
+
+import ast
+from pathlib import Path
+
+import nstorus
+
+SRC = Path(nstorus.__file__).parent
+
+# Defaulted parameters plus @dataclass fields with a default, over src/nstorus/*.py.
+SETTABLE_VALUES = 66
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(source: str) -> int:
+    """Defaulted parameters (positional and keyword-only; lambdas excluded) and
+    dataclass fields with a default."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_walk_counts_what_it_claims():
+    source = '''
+from dataclasses import dataclass, field
+import dataclasses
+
+def f(a, b=1, *args, c, d=2, **kw):
+    g = lambda x=3: x
+    def inner(y=4): ...
+
+@dataclass(frozen=True)
+class A:
+    x: int
+    y: int = 0
+    z: dict = field(default_factory=dict)
+    def m(self, k=5): ...
+
+@dataclasses.dataclass
+class B:
+    w: int = 1
+
+class C:
+    v: int = 1
+'''
+    # b, d, y, z, w, and the defaults of inner and m; not the lambda or the plain class
+    assert settable_values(source) == 7
+
+
+def test_settable_values_are_pinned():
+    total = sum(settable_values(p.read_text()) for p in sorted(SRC.glob("*.py")))
+    assert total == SETTABLE_VALUES, (
+        f"{total} settable values, pinned at {SETTABLE_VALUES}: a deleted option lowers "
+        "the pin; a new one needs a caller that sets it"
+    )

@@ -22,7 +22,7 @@ from nstorus.nonlinear import (
     product_grid,
     trilinear,
 )
-from nstorus.solver import SolverConfig, solve_x, solve_y
+from nstorus.solver import SolverConfig, solve_x
 from nstorus.stokes import ForcingSpec
 
 PARAMS = BesovParams("4/3", "5/2", "3", "3")
@@ -155,13 +155,15 @@ class TestProductGrid:
 
 
 def test_solve_x_builds_two_grid_states_per_stage(monkeypatch):
+    # the coupled (y, x) loop puts each of y and x on the grid once per stage, y's own
+    # product included
     cfg = SolverConfig(n=16, dt=0.01, t_final=0.05)
-    y_traj = solve_y(random_field(16, 2.0, 1, band=cfg.band, amplitude=1e-3),
-                     ForcingSpec.zero(16), PARAMS, cfg)
+    y0 = random_field(16, 2.0, 1, band=cfg.band, amplitude=1e-3)
     built = []
     original = SpectralField.grid_state
     monkeypatch.setattr(SpectralField, "grid_state",
                         lambda self, m: built.append(m) or original(self, m))
-    solve_x(random_field(16, 2.0, 2, band=cfg.band), ForcingSpec.zero(16), y_traj, PARAMS, cfg)
+    solve_x(random_field(16, 2.0, 2, band=cfg.band), ForcingSpec.zero(16), y0,
+            ForcingSpec.zero(16), PARAMS, cfg)
     stages = 4 * cfg.steps + 1  # four per step, then the final derivative sample
     assert len(built) == 2 * stages
