@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .besov import BesovParams, as_fraction
 from .errors import InadmissibleParams
 
@@ -293,36 +295,52 @@ def appendix_a_infima(r_lower_bound: int, depth: int = 12) -> InfimumScan:
 # -- feasible-region scan in (x, y) = (2/p, 2/r) coordinates ----------------------
 
 
-@dataclass(frozen=True)
-class RegionPoint:
-    x: Fraction
-    y: Fraction
-    local_ok: bool
-    global_ok: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionScan:
+    """Feasible points of the grid {i/D} x {j/D}, i, j = 1 .. 2D-1, one j-interval per row.
+
+    Row i (x = i/D) holds the local points j in [local_lo[i-1], local_hi[i-1]]
+    and the global points j in [global_lo[i-1], global_hi[i-1]]; an empty
+    interval has hi < lo.
+    """
+
     s: Fraction
     denominator: int
-    points: tuple
+    local_lo: np.ndarray
+    local_hi: np.ndarray
+    global_lo: np.ndarray
+    global_hi: np.ndarray
 
     @property
     def local_count(self) -> int:
-        return sum(1 for pt in self.points if pt.local_ok)
+        return int(np.maximum(self.local_hi - self.local_lo + 1, 0).sum())
 
     @property
     def global_count(self) -> int:
-        return sum(1 for pt in self.points if pt.global_ok)
+        return int(np.maximum(self.global_hi - self.global_lo + 1, 0).sum())
 
     def contains_local(self, x, y) -> bool:
-        x, y = as_fraction(x), as_fraction(y)
-        return any(pt.x == x and pt.y == y and pt.local_ok for pt in self.points)
+        d = self.denominator
+        i, j = as_fraction(x) * d, as_fraction(y) * d
+        if i.denominator != 1 or j.denominator != 1 or not 0 < i < 2 * d:
+            return False
+        row, j = int(i) - 1, int(j)
+        return bool(self.local_lo[row] <= j <= self.local_hi[row])
 
     def csv_lines(self):
+        """Header, then one line per local point, in i-then-j order."""
         yield "x,y,local,global"
-        for pt in self.points:
-            yield f"{pt.x},{pt.y},{int(pt.local_ok)},{int(pt.global_ok)}"
+        d = self.denominator
+        k = np.arange(2 * d, dtype=np.int64)
+        g = np.gcd(k, d)
+        labels = [str(n) if m == 1 else f"{n}/{m}"
+                  for n, m in zip((k // g).tolist(), (d // g).tolist())]
+        rows = zip(range(1, 2 * d), self.local_lo.tolist(), self.local_hi.tolist(),
+                   self.global_lo.tolist(), self.global_hi.tolist())
+        for i, lo, hi, glo, ghi in rows:
+            x = labels[i]
+            for j in range(lo, hi + 1):
+                yield f"{x},{labels[j]},1,{int(glo <= j <= ghi)}"
 
 
 def region_conditions(s: Fraction, x: Fraction, y: Fraction) -> bool:
@@ -340,21 +358,34 @@ def region_conditions(s: Fraction, x: Fraction, y: Fraction) -> bool:
 def scan_region(s, denominator: int = 60) -> RegionScan:
     """Classify the rational grid {i/D} x {j/D} inside (0,2)^2 against the region.
 
-    A point is local_ok when it solves the local system; global_ok adds the
-    sharper global requirements y < 1 and x + y > 1.
+    A point is local when it solves `region_conditions`; it is global when
+    it also has y < 1 and x + y > 1.  With s = a/b and (x, y) = (i/D, j/D),
+    each condition times bD is a strict integer inequality:
+
+        (2b - a)D < (i + j)b < (3b - a)D,    (3b - a)D < (i + 2j)b,
+        ib > |a - b|D.
+
+    The last depends on the row alone, and the others bound j from one
+    side each, so the local points of row i are one integer interval,
+    found by floor division; the global points are its sub-interval with
+    D - i < j < D.  Every verdict is exact int64 arithmetic, memory is
+    O(D), and (s, D) whose scaled terms could reach 2^62 is rejected
+    before anything is allocated.
     """
     s = as_fraction(s)
     d = int(denominator)
-    points = []
-    for i in range(1, 2 * d):
-        x = Fraction(i, d)
-        for j in range(1, 2 * d):
-            y = Fraction(j, d)
-            loc = region_conditions(s, x, y)
-            glo = loc and y < 1 and x + y > 1
-            if loc or glo:
-                points.append(RegionPoint(x, y, loc, glo))
-    return RegionScan(s, d, tuple(points))
+    if d != denominator or d < 1:
+        raise ValueError(f"scan denominator must be an integer >= 1, got {denominator!r}")
+    a, b = s.numerator, s.denominator
+    # |(3b - a)D - ib| < (|a| + 5b)D bounds every int64 term below
+    if 6 * max(abs(a), b) * d >= 2**62:
+        raise ValueError(f"scan of s = {s} at denominator {d} would overflow int64")
+    i = np.arange(1, 2 * d, dtype=np.int64)
+    rest = (3 * b - a) * d - i * b  # (3 - s - x) bD
+    lo = np.maximum(np.maximum(((2 * b - a) * d - i * b) // b + 1, rest // (2 * b) + 1), 1)
+    hi = np.minimum((rest - 1) // b, 2 * d - 1)
+    hi = np.where(i * b > abs(a - b) * d, hi, lo - 1)
+    return RegionScan(s, d, lo, hi, np.maximum(lo, d - i + 1), np.minimum(hi, d - 1))
 
 
 # -- bundled reference parameter rows ---------------------------------------------

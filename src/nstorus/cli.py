@@ -84,6 +84,8 @@ def cmd_admissibility(args) -> int:
             return 1
         return 0
     if args.action == "scan":
+        if args.depth < 0:
+            raise ValueError(f"scan depth must be >= 0, got {args.depth}")
         denominator = args.denominator if args.denominator else 2**args.depth
         scan = scan_region(as_fraction(args.s), denominator)
         out = Path(args.out)

@@ -551,6 +551,8 @@ def random_field(
     """
     if n > _RANDOM_MASTER_N:
         raise ResolutionMismatch(f"random fields capped at resolution {_RANDOM_MASTER_N}")
+    if band is not None and band < 1:
+        raise ValueError(f"band must be at least 1, got {band}")
     _, _, canon, kk, _, _, _ = _lattice(n)
     half, master_half = n // 2, _RANDOM_MASTER_N // 2
     xi = _master_noise(int(seed))[: half + 1, master_half - half: master_half + half + 1]

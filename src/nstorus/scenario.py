@@ -70,6 +70,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _band(text: str) -> int:
+    """A support band |k|_inf <= band of random data: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 # Scenario keys solver.<name> and how their values parse; constants.<name> fill
 # SolverConfig.constants, and dealias and picard_tol keep their defaults.
 SOLVER_KEYS = {"n": int, "dt": _finite, "t_final": _finite, "split_eps": _finite,
@@ -258,7 +266,7 @@ def _field_spec_from(take, prefix: str, modes: tuple) -> FieldSpec:
         gamma=take(f"{prefix}.gamma", 2.0, _finite),
         amplitude=take(f"{prefix}.amplitude", 1.0, _finite),
         seed_offset=take(f"{prefix}.seed_offset", 0, _count),
-        band=take(f"{prefix}.band", None, int),
+        band=take(f"{prefix}.band", None, _band),
     )
 
 

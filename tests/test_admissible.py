@@ -1,8 +1,12 @@
 """Exact rational gates, exponent algebra, piecewise max, region scans."""
 
+import hashlib
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nstorus.admissible import (
     BOUNDARY,
@@ -20,6 +24,16 @@ from nstorus.admissible import (
 )
 from nstorus.besov import BesovParams
 from nstorus.errors import InadmissibleParams
+
+
+def _local_points(scan):
+    """(x, y, global) for every local point of a scan, in i-then-j order."""
+    d = scan.denominator
+    for i in range(1, 2 * d):
+        lo, hi = int(scan.local_lo[i - 1]), int(scan.local_hi[i - 1])
+        glo, ghi = int(scan.global_lo[i - 1]), int(scan.global_hi[i - 1])
+        for j in range(lo, hi + 1):
+            yield Fraction(i, d), Fraction(j, d), glo <= j <= ghi
 
 
 class TestLocalGate:
@@ -96,10 +110,8 @@ class TestExponents:
     def test_sum_rule_and_ranges_over_region_samples(self):
         for s in (Fraction(1, 2), Fraction(4, 3), Fraction(-1, 2), Fraction(19, 10)):
             scan = scan_region(s, denominator=12)
-            for pt in scan.points[:40]:
-                if not pt.local_ok:
-                    continue
-                p, r = Fraction(2) / pt.x, Fraction(2) / pt.y
+            for x, y, _ in islice(_local_points(scan), 40):
+                p, r = Fraction(2) / x, Fraction(2) / y
                 params = BesovParams(s, p, default_q(r), r)
                 if not check_local(params).all_pass:
                     continue
@@ -181,6 +193,8 @@ class TestRegionScan:
         scan = scan_region("4/3", denominator=60)
         assert scan.local_count > 0
         assert scan.contains_local("4/5", "2/3")
+        assert not scan.contains_local("4/5", "1/121")  # off the grid
+        assert not scan.contains_local(0, "2/3") and not scan.contains_local(2, "2/3")
         assert scan.global_count > 0
 
     @pytest.mark.parametrize("s", ["5/2", -2, 3, "-101/100"])
@@ -196,14 +210,45 @@ class TestRegionScan:
 
     def test_global_requires_sharper_conditions(self):
         scan = scan_region("4/3", denominator=30)
-        for pt in scan.points:
-            if pt.global_ok:
-                assert pt.local_ok and pt.y < 1 and pt.x + pt.y > 1
+        points = list(_local_points(scan))
+        assert 0 < scan.global_count < scan.local_count == len(points)
+        assert scan.global_count == sum(glo for _, _, glo in points)
+        for x, y, glo in points:
+            assert glo == (y < 1 and x + y > 1)
 
-    def test_region_conditions_match_point_classification(self):
-        scan = scan_region("1/2", denominator=20)
-        for pt in scan.points[:50]:
-            assert region_conditions(Fraction(1, 2), pt.x, pt.y) == pt.local_ok
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(a=st.integers(-60, 60), b=st.integers(1, 24), d=st.integers(1, 24))
+    def test_region_conditions_match_point_classification(self, a, b, d):
+        # every grid point, so a point wrongly left out of an interval is caught
+        s = Fraction(a, b)
+        scan = scan_region(s, denominator=d)
+        for i in range(1, 2 * d):
+            x = Fraction(i, d)
+            for j in range(1, 2 * d):
+                y = Fraction(j, d)
+                loc = region_conditions(s, x, y)
+                assert scan.contains_local(x, y) == loc
+                in_global = scan.global_lo[i - 1] <= j <= scan.global_hi[i - 1]
+                assert in_global == (loc and y < 1 and x + y > 1)
+
+    @pytest.mark.parametrize("s,digest", [
+        ("17/12", "15209dad6303045f711dedbb0151a5a3639cbe2229f2871eb7fd0590384be37f"),
+        ("37/24", "0e13b5bc1ce5027be66bf5c3298e1fcf7cc473c600344441236d10c3b60bcc66"),
+    ])
+    def test_depth_eight_csv_is_pinned(self, s, digest):
+        # digests of the CSV written by the point-by-point Fraction scan
+        text = "\n".join(scan_region(s, denominator=2**8).csv_lines()) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("denominator", [0, -5, 0.5])
+    def test_denominator_below_one_rejected(self, denominator):
+        with pytest.raises(ValueError, match="denominator"):
+            scan_region("4/3", denominator=denominator)
+
+    @pytest.mark.parametrize("s", [Fraction(2**60, 3), Fraction(1, 2**60), Fraction(-(2**59))])
+    def test_int64_overflow_rejected(self, s):
+        with pytest.raises(ValueError, match="overflow"):
+            scan_region(s, denominator=4)
 
     def test_csv_emission(self):
         lines = list(scan_region("4/3", denominator=15).csv_lines())

@@ -174,6 +174,12 @@ class TestRandomField:
         u = random_field(16, 1.0, seed=4, band=3)
         assert u.max_mode_inf <= 3
 
+    @pytest.mark.parametrize("band", [0, -1])
+    def test_band_below_one_rejected(self, band):
+        # such a band masks every mode away, leaving an all-zero field
+        with pytest.raises(ValueError, match="band"):
+            random_field(16, 1.0, seed=4, band=band)
+
 
 class TestAlgebra:
     def test_real_scalar_and_addition(self):

@@ -168,6 +168,17 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,local,global"
 
+    @pytest.mark.parametrize("option,message", [
+        (["--depth", "-1"], "scan depth must be >= 0, got -1"),
+        (["--denominator", "-5"], "scan denominator must be an integer >= 1, got -5"),
+    ])
+    def test_admissibility_scan_bad_denominator_exit2(self, tmp_path, capsys, option, message):
+        out = tmp_path / "region.csv"
+        code = main(["admissibility", "scan", "--s", "4/3", *option, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
+
     def test_reference_table_exit0(self, capsys):
         code = main(["reproduce-appendix-b"])
         out = capsys.readouterr().out
@@ -259,6 +270,7 @@ class TestCli:
         ("snapshot_times = 0.0 nan", "snapshot_times"),
         ("snapshot_times = 0.0 5.0", "snapshot_times"),
         ("snapshot_times = -0.01", "snapshot_times"),
+        ("initial.band = -1", "initial.band"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, line, key):
         scn = tmp_path / "bad.scn"

@@ -115,8 +115,9 @@ def test_bilinear_matches_oracle(half, data):
     s_u = data.draw(st.integers(0, half), label="s_u")
     s_v = data.draw(st.integers(0, half), label="s_v")
     seed = data.draw(st.integers(0, 10_000), label="seed")
-    u = random_field(n, 1.0, seed, band=s_u)
-    v = random_field(n, 1.0, seed + 1, band=s_v)
+    # support 0 stands for the zero field, since random_field rejects band 0
+    u = random_field(n, 1.0, seed, band=s_u) if s_u else SpectralField.zeros(n)
+    v = random_field(n, 1.0, seed + 1, band=s_v) if s_v else SpectralField.zeros(n)
     fast = bilinear_b(u, v, band=band)
     slow = bilinear_b_oracle(u, v, band=band)
     assert np.max(np.abs(fast.c - slow.c)) <= 1e-13 * max(1.0, np.max(np.abs(slow.c)))
