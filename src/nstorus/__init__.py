@@ -44,7 +44,7 @@ from .solver import (
     split_data,
     uniqueness_probe,
 )
-from .stokes import ForcingSpec, apply_a, apply_inv_a, semigroup, stokes_solve
+from .stokes import ForcingSpec, apply_a, semigroup, stokes_solve
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "appendix_a_infima",
     "appendix_a_max",
     "apply_a",
-    "apply_inv_a",
     "besov_norm",
     "besov_value",
     "bilinear_b",

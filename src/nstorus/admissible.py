@@ -355,7 +355,7 @@ def region_conditions(s: Fraction, x: Fraction, y: Fraction) -> bool:
     )
 
 
-def scan_region(s, denominator: int = 60) -> RegionScan:
+def scan_region(s, denominator: int) -> RegionScan:
     """Classify the rational grid {i/D} x {j/D} inside (0,2)^2 against the region.
 
     A point is local when it solves `region_conditions`; it is global when

@@ -142,8 +142,7 @@ class NormReport:
     n: int
     m: int
     value: float
-    blocks: tuple = ()
-    block0_convention: str = BLOCK0_CONVENTION
+    blocks: tuple
 
     def to_json(self) -> str:
         payload = {
@@ -155,7 +154,7 @@ class NormReport:
             "M": self.m,
             "value": self.value,
             "blocks": [{"m": b, "lp": lp, "contribution": c} for (b, lp, c) in self.blocks],
-            "block0_convention": self.block0_convention,
+            "block0_convention": BLOCK0_CONVENTION,
         }
         return json.dumps(payload, sort_keys=True)
 

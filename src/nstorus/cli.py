@@ -260,7 +260,6 @@ def cmd_uniqueness_probe(args) -> int:
     if bad:
         return bad
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = scenario.solver
     delta0 = random_field(cfg.n, 3.0, scenario.seed + 99, band=cfg.band,
                           amplitude=args.delta_amplitude)
@@ -274,7 +273,9 @@ def cmd_uniqueness_probe(args) -> int:
         "delta_norms": None if report.delta_norms is None else list(report.delta_norms),
         "envelope_holds": report.envelope_holds,
     })
-    decreasing = bool(np.all(np.diff(report.contraction_values) < 0))
+    # a decrease needs at least two windows to be measured
+    values = report.contraction_values
+    decreasing = len(values) >= 2 and bool(np.all(np.diff(values) < 0))
     print(f"zero-start exact: {report.zero_start_exact}; C_u strictly decreasing: {decreasing}")
     return 0 if (report.zero_start_exact and decreasing) else 1
 

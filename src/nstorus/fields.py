@@ -174,7 +174,7 @@ class SpectralField:
             raise ResolutionMismatch(
                 f"coefficient array shape {coeffs.shape} != {canonical_shape(n)}"
             )
-        c = np.where(canon, coeffs, 0.0).astype(np.complex128)
+        c = np.where(canon, coeffs, 0.0).astype(np.complex128, copy=False)
         c.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
@@ -291,20 +291,6 @@ class SpectralField:
         """Multiply each coefficient by a real weight indexed like the lattice."""
         return SpectralField(self.n, self.c * weights)
 
-    def divide_radial(self, weights: np.ndarray) -> "SpectralField":
-        """Divide by real weights (a true division inverts an exact multiply exactly).
-
-        Divides the real and imaginary parts separately; numpy's complex/real
-        division would route through full complex division and round where
-        the componentwise quotient is exact.
-        """
-        _, _, canon, _, _, _, _ = _lattice(self.n)
-        w = np.where(canon, weights, 1.0)
-        out = np.empty_like(self.c)
-        out.real = self.c.real / w
-        out.imag = self.c.imag / w
-        return SpectralField(self.n, out)
-
     def radial_weights(self, fn) -> np.ndarray:
         """Evaluate fn(|k|^2 int array) -> real weights on the canonical layout."""
         _, _, canon, kk, _, _, _ = _lattice(self.n)
@@ -397,19 +383,6 @@ class SpectralField:
         values = np.fft.irfft2(spec, s=(m, m), norm="forward")
         return GridState(self.n, support, values)
 
-    @classmethod
-    def from_grid(cls, grid: "GridField", n: int) -> "SpectralField":
-        """Project a real grid field onto the divergence-free basis.
-
-        This is the Leray projection: gradient parts pair to zero against
-        the basis, the mean mode is dropped.
-        """
-        m = grid.m
-        if m < n:
-            raise ResolutionMismatch(f"grid size {m} < resolution {n}")
-        spec = np.fft.rfft2(np.moveaxis(grid.values, -1, 0), norm="forward")
-        return cls(n, _leray_project(spec, n))
-
     # -- stream function --------------------------------------------------------
 
     def stream_coefficients(self) -> dict[tuple[int, int], complex]:
@@ -434,10 +407,6 @@ class GridField:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 3 or v.shape[0] != v.shape[1] or v.shape[2] != 2:
             raise ResolutionMismatch(f"grid values must have shape (m, m, 2), got {v.shape}")
-        scale = float(np.max(np.abs(v))) if v.size else 0.0
-        means = np.abs(v.mean(axis=(0, 1)))
-        if np.any(means > 1e-12 * max(scale, 1e-300) + 1e-300):
-            raise ValueError("grid field components must have zero mean")
         object.__setattr__(self, "values", v)
 
     @property
@@ -446,9 +415,6 @@ class GridField:
 
     def pointwise_magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(self.values**2, axis=-1))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 @dataclass(frozen=True)
@@ -466,56 +432,6 @@ class GridState:
     @property
     def m(self) -> int:
         return self.values.shape[-1]
-
-
-def grid_nodes(m: int) -> np.ndarray:
-    """1D array of grid coordinates 2 pi a / m."""
-    return TWO_PI * np.arange(m) / m
-
-
-def scalar_modes_to_grid(coeffs: dict[tuple[int, int], complex], m: int) -> np.ndarray:
-    """Evaluate a scalar spectrum sum_k c_k exp(i k.xi)/(2 pi) on the m x m grid."""
-    c = np.zeros((m, m), dtype=np.complex128)
-    for (k1, k2), val in coeffs.items():
-        c[k1 % m, k2 % m] += val / TWO_PI
-    return np.fft.ifft2(c).real * (m * m)
-
-
-def grid_gradient(scalar: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a scalar grid sample, shape (m, m, 2)."""
-    m = scalar.shape[0]
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    fh = np.fft.fft2(scalar)
-    dx = np.fft.ifft2(1j * k[:, None] * fh).real
-    dy = np.fft.ifft2(1j * k[None, :] * fh).real
-    return np.stack([dx, dy], axis=-1)
-
-
-def grid_perp_gradient(scalar: np.ndarray) -> np.ndarray:
-    """(-d/dxi2, d/dxi1) of a scalar grid sample."""
-    g = grid_gradient(scalar)
-    return np.stack([-g[:, :, 1], g[:, :, 0]], axis=-1)
-
-
-def grid_divergence(grid: GridField) -> np.ndarray:
-    """Spectral divergence of a grid velocity field."""
-    m = grid.m
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    fx = np.fft.fft2(grid.values[:, :, 0])
-    fy = np.fft.fft2(grid.values[:, :, 1])
-    return np.fft.ifft2(1j * k[:, None] * fx + 1j * k[None, :] * fy).real
-
-
-def grid_velocity_gradient(grid: GridField) -> np.ndarray:
-    """All four derivatives d u_i / d xi_j on the grid, shape (m, m, 2, 2)."""
-    m = grid.m
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    out = np.empty((m, m, 2, 2))
-    for i in range(2):
-        fh = np.fft.fft2(grid.values[:, :, i])
-        out[:, :, i, 0] = np.fft.ifft2(1j * k[:, None] * fh).real
-        out[:, :, i, 1] = np.fft.ifft2(1j * k[None, :] * fh).real
-    return out
 
 
 _RANDOM_MASTER_N = 256

@@ -191,7 +191,7 @@ class EstimateReport:
         )
 
 
-def verify_estimate_chain(params, ensemble: EnsembleSpec = EnsembleSpec()) -> EstimateReport:
+def verify_estimate_chain(params, ensemble: EnsembleSpec) -> EstimateReport:
     """Measure ||B(u)||_{B^{-s}_{p,q}} against the interpolated two-norm product.
 
     The right-hand side (without constant) is
@@ -282,8 +282,7 @@ def verify_energy_lemma(x: SpectralField, y: SpectralField, eps: float,
     )
 
 
-def energy_lemma_ensemble(eps: float, p_t, q_t,
-                          ensemble: EnsembleSpec = EnsembleSpec()) -> EstimateReport:
+def energy_lemma_ensemble(eps: float, p_t, q_t, ensemble: EnsembleSpec) -> EstimateReport:
     """Max implied energy-lemma constant over a random ensemble, per resolution.
 
     The lemma owes one constant for all data, so each sampled pair is probed

@@ -92,6 +92,7 @@ DEFAULT_CONSTANTS = EmpiricalConstants(
 
 
 PICARD_MAX_ITER = 60   # Picard sweeps before NonConvergent
+PICARD_TOL = 1e-9      # converged at a difference <= PICARD_TOL * max(1, max ||u||_L2)
 GRONWALL_SLACK = 1e-8  # relative slack of the a priori energy envelope
 
 
@@ -100,8 +101,6 @@ class SolverConfig:
     n: int = 32
     dt: float = 1e-3
     t_final: float = 1.0
-    dealias: int | None = None      # retained band, default n // 3
-    picard_tol: float = 1e-9
     constants: EmpiricalConstants = DEFAULT_CONSTANTS
     split_eps: float = 1e-3
     smallness_y0: float = 1e-2
@@ -113,12 +112,10 @@ class SolverConfig:
         if abs(self.t_final / self.steps - self.dt) > 1e-9 * self.dt:
             raise ValueError(f"dt = {self.dt!r} does not divide t_final = {self.t_final!r} "
                              "into whole steps")
-        if self.band > self.n // 2:
-            raise ValueError("dealias band cannot exceed n/2")
 
     @property
     def band(self) -> int:
-        return dealias_band(self.n) if self.dealias is None else self.dealias
+        return dealias_band(self.n)
 
     @property
     def grid_m(self) -> int:
@@ -310,7 +307,7 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
             factors.append(diff_norms[-1] / diff_norms[-2])
         scale = max(1.0, max(f.l2_norm() for f in new_fields))
         current, derivs = new_fields, new_derivs
-        if d <= config.picard_tol * scale:
+        if d <= PICARD_TOL * scale:
             converged = True
             break
     if not converged:
@@ -539,6 +536,8 @@ def uniqueness_probe(u0: SpectralField, forcing, params, config: SolverConfig,
     ||delta|| is reported against the exponential envelope implied by the
     configured Ladyzhenskaya constant.
     """
+    if num_halvings < 1:
+        raise ValueError(f"num_halvings must be >= 1, got {num_halvings}")
     steps = config.steps
     band = config.band
     force = _band_forcing(forcing, band)
@@ -560,7 +559,9 @@ def uniqueness_probe(u0: SpectralField, forcing, params, config: SolverConfig,
     sigma = Fraction(2) / params.p + Fraction(2) / params.r - 1
     u_vals = u_traj.besov_series(sigma, params.p, params.q)
     times = u_traj.times
-    ends = [k for k in (int(round(steps * 2.0 ** -j)) for j in range(num_halvings + 1)) if k >= 1]
+    # distinct window ends: rounding can repeat one (11 steps give 11, 6, 3, 1, 1)
+    ends = [k for k in dict.fromkeys(round(steps * 2.0 ** -j) for j in range(num_halvings + 1))
+            if k >= 1]
     values = [config.constants.c2 * lr_time_norm(times[: k + 1], params.r, u_vals[: k + 1])
               for k in ends]
 
@@ -585,8 +586,7 @@ def uniqueness_probe(u0: SpectralField, forcing, params, config: SolverConfig,
 # -- empirical constant estimation ---------------------------------------------------
 
 
-def estimate_empirical_constants(params, n: int = 32, count: int = 64,
-                                 seed: int = 2024) -> EmpiricalConstants:
+def estimate_empirical_constants(params, n: int, count: int, seed: int) -> EmpiricalConstants:
     """Probe-ensemble estimates: max observed ratio over `count` probes, x2 safety.
 
     Probes are linear solves on [0, 1] in 32 steps with power-law random

@@ -29,11 +29,6 @@ def apply_a(u: SpectralField) -> SpectralField:
     return u.scale_radial(u.radial_weights(lambda kk: kk.astype(float)))
 
 
-def apply_inv_a(u: SpectralField) -> SpectralField:
-    """A^{-1} u: per-mode division by |k|^2 (bounded, zero mode excluded)."""
-    return u.divide_radial(u.radial_weights(lambda kk: kk.astype(float)))
-
-
 def semigroup(u: SpectralField, t: float) -> SpectralField:
     """exp(-tA) u for t >= 0."""
     if t < 0:
@@ -227,21 +222,6 @@ def stokes_solve(u0: SpectralField, forcing, t_final: float, steps: int) -> Traj
         raise NonFiniteField(f"non-finite coefficient at sample {bad} (t = {times[bad]:.6g})")
     derivs = [forcing.field_at(float(t)) - apply_a(u) for t, u in zip(times, fields)]
     return Trajectory(times, fields, derivs=derivs)
-
-
-def stokes_energy_residual(u0: SpectralField, t1: float, t2: float) -> float:
-    """Residual of 1/2||u(t2)||^2 - 1/2||u(t1)||^2 + int_{t1}^{t2} ||u||^2_{H1} for f = 0.
-
-    The viscous integral is closed form per mode, so the residual is pure
-    floating-point noise.
-    """
-    amp2 = 2.0 * np.abs(u0.c) ** 2  # canonical half carries both +/-k
-    kk = u0.radial_weights(lambda k: k.astype(float))
-    e1 = np.exp(-2.0 * t1 * kk)
-    e2 = np.exp(-2.0 * t2 * kk)
-    half_diff = 0.5 * float(np.sum(amp2 * e2) - np.sum(amp2 * e1))
-    integral = 0.5 * float(np.sum(amp2 * (e1 - e2)))
-    return half_diff + integral
 
 
 @dataclass(frozen=True)

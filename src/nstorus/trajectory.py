@@ -34,7 +34,7 @@ def cumulative_trapezoid(times, values) -> np.ndarray:
 class Trajectory:
     times: np.ndarray
     fields: list
-    derivs: list | None = None
+    derivs: list
     acc: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -51,19 +51,15 @@ class Trajectory:
         return self.series(lambda u: besov_value(u, s, p, q))
 
     def deriv_besov_series(self, s, p, q) -> np.ndarray:
-        if self.derivs is None:
-            raise ValueError("trajectory carries no derivative samples")
         return np.array([besov_value(d, s, p, q) for d in self.derivs], dtype=float)
 
     def w1r_norm(self, params) -> float:
         """Discrete graph norm: (int ||u||^r_{B^{-s+2}_{p,q}} + int ||u'||^r_{B^{-s}_{p,q}})^(1/r)."""
-        if self.derivs is None:
-            raise ValueError("w1r norm needs derivative samples")
         return lr_time_norm(self.times, params.r,
                             self.besov_series(-params.s + 2, params.p, params.q),
                             self.deriv_besov_series(-params.s, params.p, params.q))
 
-    def to_csv(self, path, besov_specs=(), extra_columns=None, meta: dict | None = None) -> None:
+    def to_csv(self, path, besov_specs=(), extra_columns=None, *, meta: dict) -> None:
         """Write (t, L2, H1, configured Besov norms, accumulators, extras) as CSV.
 
         Floats are written with 17 significant digits so identical runs give
@@ -80,10 +76,7 @@ class Trajectory:
         if extra_columns:
             cols.update(extra_columns)
         names = list(cols)
-        lines = []
-        if meta:
-            for key in sorted(meta):
-                lines.append(f"# {key} = {meta[key]}")
+        lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
         lines.append(",".join(names))
         data = np.column_stack([np.asarray(cols[c], dtype=float) for c in names])
         for row in data:

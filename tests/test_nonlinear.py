@@ -106,13 +106,12 @@ class TestBilinear:
         assert out.max_mode_inf <= dealias_band(16)
 
     def test_output_divergence_free(self):
-        from nstorus.fields import grid_divergence, grid_velocity_gradient
-
         u = random_field(16, 0.5, 10, band=dealias_band(16))
         out = bilinear_b(u, u)
-        g = out.to_grid(32)
-        scale = max(np.max(np.abs(grid_velocity_gradient(g))), 1e-300)
-        assert np.max(np.abs(grid_divergence(g))) <= 1e-12 * scale
+        # rows 2..5 of a grid state are d1 u1, d2 u1, d1 u2, d2 u2
+        g = out.grid_state(32).values
+        scale = max(np.max(np.abs(g[2:])), 1e-300)
+        assert np.max(np.abs(g[2] + g[5])) <= 1e-12 * scale
 
 
 class TestTrilinear:

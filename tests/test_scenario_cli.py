@@ -329,3 +329,34 @@ class TestCli:
         assert code == 0
         data = json.loads((out / "report.json").read_text())
         assert data["zero_start_exact"] is True
+
+    @pytest.mark.parametrize("halvings", ["-3", "0"])
+    def test_uniqueness_probe_needs_a_halving(self, tmp_path, capsys, halvings):
+        scn = tmp_path / "demo.scn"
+        scn.write_text(SCENARIO_TEXT)
+        out = tmp_path / "probe"
+        code = main(["uniqueness-probe", "--scenario", str(scn), "--out", str(out),
+                     "--halvings", halvings])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ValueError: num_halvings must be >= 1")
+        assert not (out / "report.json").exists()
+
+    def test_uniqueness_probe_one_window_is_no_decrease(self, tmp_path, capsys):
+        # one step gives one window, so no decrease of C_u is measured
+        scn = tmp_path / "demo.scn"
+        scn.write_text(SCENARIO_TEXT.replace("solver.dt = 0.01", "solver.dt = 0.1"))
+        out = tmp_path / "probe"
+        assert main(["uniqueness-probe", "--scenario", str(scn), "--out", str(out)]) == 1
+        data = json.loads((out / "report.json").read_text())
+        assert data["zero_start_exact"] is True
+        assert len(data["contraction_values"]) == 1
+        assert "C_u strictly decreasing: False" in capsys.readouterr().out
+
+    def test_uniqueness_probe_windows_are_distinct(self, tmp_path):
+        # 11 steps halve to window ends 11, 6, 3, 1, 1 before the repeat is dropped
+        scn = tmp_path / "demo.scn"
+        scn.write_text(SCENARIO_TEXT.replace("solver.t_final = 0.1", "solver.t_final = 0.11"))
+        out = tmp_path / "probe"
+        assert main(["uniqueness-probe", "--scenario", str(scn), "--out", str(out)]) == 0
+        data = json.loads((out / "report.json").read_text())
+        assert data["contraction_times"] == pytest.approx([0.11, 0.06, 0.03, 0.01])

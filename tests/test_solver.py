@@ -43,8 +43,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(n=16, dt=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(n=16, dealias=10)
 
     def test_defaults(self):
         cfg = SolverConfig(n=32)
@@ -238,7 +236,7 @@ class TestLocalSolve:
                         BesovParams(0, 2, 2, 2), cfg)
 
     def test_small_data_contraction(self):
-        cfg = SolverConfig(n=16, dt=0.02, t_final=2.0, picard_tol=1e-12)
+        cfg = SolverConfig(n=16, dt=0.02, t_final=2.0)
         u0 = SpectralField.from_modes(16, [((1, 0), 0.2)])
         f = ForcingSpec.from_modes(16, [((1, 1), 0.1)])
         res = solve_local(u0, f, PARAMS, cfg)
@@ -247,7 +245,7 @@ class TestLocalSolve:
         assert res.f_norm * res.t_bar ** float(res.epsilon) < res.bound_rhs
 
     def test_contraction_factor_decreases_with_window(self):
-        cfg = SolverConfig(n=16, dt=0.02, t_final=2.0, picard_tol=1e-12)
+        cfg = SolverConfig(n=16, dt=0.02, t_final=2.0)
         u0 = SpectralField.from_modes(16, [((1, 0), 0.2)])
         f = ForcingSpec.from_modes(16, [((1, 1), 0.1)])
         firsts = []

@@ -10,11 +10,9 @@ from nstorus.stokes import (
     ForcingSpec,
     SampledForcing,
     apply_a,
-    apply_inv_a,
     forcing_lr_norm,
     linear_regularity_report,
     semigroup,
-    stokes_energy_residual,
     stokes_solve,
 )
 
@@ -25,18 +23,6 @@ class TestOperator:
     def test_eigenvalue_scaling(self):
         u = SpectralField.from_modes(8, [((2, 0), 1.0)])
         assert apply_a(u).coeff(2, 0) == 4.0
-
-    def test_inverse_bit_exact_on_short_mantissas(self):
-        # float32-precision coefficients make |k|^2 products exact, so the
-        # inverse round trip is bitwise (full mantissas can round once)
-        u = random_field(16, 1.0, seed=3)
-        short = SpectralField(16, u.c.astype(np.complex64).astype(np.complex128))
-        assert np.array_equal(apply_inv_a(apply_a(short)).c, short.c)
-
-    def test_inverse_round_trip_generic(self):
-        u = random_field(16, 1.0, seed=3)
-        v = apply_inv_a(apply_a(u))
-        assert np.max(np.abs(v.c - u.c)) <= 1e-15 * np.max(np.abs(u.c))
 
     def test_shifts_sobolev_scale(self):
         u = random_field(16, 1.5, seed=5)
@@ -114,8 +100,14 @@ class TestStokesSolve:
             assert np.max(np.abs(u.c - ref.c)) <= 1e-12 * scale
 
     def test_energy_balance_closed_form(self):
+        # 1/2||u(t2)||^2 - 1/2||u(t1)||^2 + int_t1^t2 ||u||_H1^2 = 0 for u(t) = exp(-tA) u0;
+        # per mode the viscous integral is |u_k|^2 (exp(-2 t1 |k|^2) - exp(-2 t2 |k|^2))
         u0 = random_field(16, 1.0, seed=12)
-        res = stokes_energy_residual(u0, 0.1, 0.9)
+        t1, t2 = 0.1, 0.9
+        kk = u0.radial_weights(lambda k: k.astype(float))
+        amp2 = 2.0 * np.abs(u0.c) ** 2  # the canonical half carries both +/-k
+        visc = 0.5 * float(np.sum(amp2 * (np.exp(-2.0 * t1 * kk) - np.exp(-2.0 * t2 * kk))))
+        res = 0.5 * semigroup(u0, t2).energy() - 0.5 * semigroup(u0, t1).energy() + visc
         assert abs(res) <= 1e-12 * u0.energy()
 
     def test_derivative_from_equation(self):

@@ -1,4 +1,5 @@
-"""The package's settable surface, pinned so that no option is added unnoticed."""
+"""The package's settable surface, pinned so that no option is added unnoticed,
+and its one transform path."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,10 @@ import nstorus
 SRC = Path(nstorus.__file__).parent
 
 # Defaulted parameters plus @dataclass fields with a default, over src/nstorus/*.py.
-SETTABLE_VALUES = 66
+SETTABLE_VALUES = 54
+
+# The real-FFT layer: every grid transform goes through these and nothing else.
+FFT_FUNCTIONS = {"rfft2", "irfft2", "fftfreq"}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -63,4 +67,37 @@ def test_settable_values_are_pinned():
     assert total == SETTABLE_VALUES, (
         f"{total} settable values, pinned at {SETTABLE_VALUES}: a deleted option lowers "
         "the pin; a new one needs a caller that sets it"
+    )
+
+
+def fft_functions(source: str) -> set:
+    """Names X of every np.fft.X / numpy.fft.X reference, plus any `from numpy.fft` import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft"
+                and getattr(node.value.value, "id", None) in ("np", "numpy")):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_fft_walk_finds_what_it_claims():
+    source = '''
+import numpy as np
+from numpy.fft import fft2
+a = np.fft.rfft2(x, norm="forward")
+b = numpy.fft.ifft2(a)
+f = np.fft.fftfreq
+'''
+    assert fft_functions(source) == {"rfft2", "ifft2", "fftfreq", "fft2"}
+
+
+def test_only_real_transforms():
+    used = set()
+    for p in sorted(SRC.glob("*.py")):
+        used |= fft_functions(p.read_text())
+    assert used <= FFT_FUNCTIONS, (
+        f"transforms outside the real-FFT layer: {sorted(used - FFT_FUNCTIONS)}"
     )

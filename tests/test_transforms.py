@@ -127,7 +127,7 @@ class TestProductGrid:
     def test_band_limited_default_is_n(self):
         assert product_grid(10, 10, 10) == 32
         assert SolverConfig(n=32).grid_m == 32
-        assert SolverConfig(n=32, dealias=16).grid_m == 50
+        assert product_grid(16, 16, 16) == 50
 
     def test_full_band_energy_vanishes(self):
         n, band = 32, 16
