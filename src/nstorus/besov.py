@@ -3,8 +3,11 @@
 Norms are computed on truncated spectral approximations: an L_p norm is a
 trapezoidal sum over the quadrature grid, a Besov norm is an l^q sum of
 weighted block L_p norms over the dyadic decomposition.  Besov and Sobolev
-norms of a resolution-N field always use the grid m = 2N, and all dyadic
-blocks of a field reach it together, in one batched irfft2.  All parameter
+norms of a resolution-N field always use the grid m = 2N.  A field's block
+L_p norms are computed once per (field, p) and kept on the field, so every
+(s, q) at that p reuses them: the blocks its support reaches go to the grid
+together, in one batched irfft2, and the blocks beyond it are exactly zero
+with no transform.  All parameter
 arithmetic (s, p, q, r and embedding conditions) is exact rational; only
 norm values are floating point.
 
@@ -73,19 +76,22 @@ def index_float(x) -> float:
 
 
 @lru_cache(maxsize=None)
+def _block_lows(n: int) -> tuple[int, ...]:
+    """Lower |k|^2 bound of each dyadic block: block b holds lo_b < |k|^2 <= 4^(b+1)."""
+    _, _, canon, kk, _, _, _ = _lattice(n)
+    kk_max = int(kk[canon].max())
+    lows = [0]
+    while 4 ** len(lows) < kk_max:
+        lows.append(4 ** len(lows))
+    return tuple(lows)
+
+
+@lru_cache(maxsize=None)
 def _block_masks(n: int) -> np.ndarray:
     """Boolean masks on the canonical layout, one per dyadic block, stacked."""
     _, _, canon, kk, _, _, _ = _lattice(n)
-    kk_max = int(kk[canon].max())
-    bounds = []
-    b = 4
-    while True:
-        bounds.append(b)
-        if b >= kk_max:
-            break
-        b *= 4
-    lows = [0] + bounds[:-1]
-    masks = np.stack([canon & (kk > lo) & (kk <= hi) for lo, hi in zip(lows, bounds)])
+    masks = np.stack([canon & (kk > lo) & (kk <= 4 ** (b + 1))
+                      for b, lo in enumerate(_block_lows(n))])
     masks.setflags(write=False)
     return masks
 
@@ -100,14 +106,19 @@ def lp_norm(grid, p) -> float:
         mag = grid.pointwise_magnitude()
     else:
         mag = np.abs(np.asarray(grid, dtype=float))
-    return float(_lp_norms(mag, p))
+    return float(_lp_norms(mag, _p_float(p)))
 
 
-def _lp_norms(mag: np.ndarray, p) -> np.ndarray:
-    """L_p norms of magnitude samples over the last two (grid) axes."""
+def _p_float(p) -> float:
+    """Float value of an integrability index, which must be at least 1."""
     pf = index_float(p)
     if pf < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
+    return pf
+
+
+def _lp_norms(mag: np.ndarray, pf: float) -> np.ndarray:
+    """L_p norms of magnitude samples over the last two (grid) axes."""
     cell = (2.0 * np.pi / mag.shape[-1]) ** 2
     return (cell * np.sum(mag**pf, axis=(-2, -1))) ** (1.0 / pf)
 
@@ -122,23 +133,45 @@ def sobolev_norm(u: SpectralField, s, p) -> float:
 def block_lp_norms(u: SpectralField, p) -> list[tuple[int, float]]:
     """L_p norm of each dyadic block reconstruction (independent of s, q).
 
-    Every block reaches the 2n x 2n grid in one batched irfft2.
+    Computed once per (field, p) and kept on the immutable field, keyed by
+    the float value of p, so every Besov norm of a field at one p shares one
+    transform.  The blocks that the support s = |k|_inf reaches (lo_b <
+    2 s^2) go to the 2n x 2n grid in one batched irfft2; every other block
+    is exactly 0.0.
     """
-    m = 2 * u.n
-    spec = u.full_coefficient_arrays(m, _block_masks(u.n))
-    values = np.fft.irfft2(spec, s=(m, m), norm="forward")
-    mag = np.sqrt(values[:, 0] ** 2 + values[:, 1] ** 2)
-    return [(blk, float(lp)) for blk, lp in enumerate(_lp_norms(mag, p))]
+    pf = _p_float(p)
+    try:
+        memo = u._block_lp
+    except AttributeError:
+        memo = {}
+        object.__setattr__(u, "_block_lp", memo)
+    if pf not in memo:
+        lows = _block_lows(u.n)
+        reach = 2 * u.max_mode_inf**2
+        reached = sum(lo < reach for lo in lows)
+        lps = [0.0] * len(lows)
+        if reached:
+            m = 2 * u.n
+            spec = u.full_coefficient_arrays(m, _block_masks(u.n)[:reached])
+            values = np.fft.irfft2(spec, s=(m, m), norm="forward")
+            mag = np.sqrt(values[:, 0] ** 2 + values[:, 1] ** 2)
+            lps[:reached] = _lp_norms(mag, pf).tolist()
+        memo[pf] = tuple(lps)
+    return list(enumerate(memo[pf]))
 
 
 @dataclass(frozen=True)
 class NormReport:
-    """A computed norm with its per-block breakdown and grid provenance."""
+    """A computed norm with its per-block breakdown and grid provenance.
+
+    Each index is recorded as given: exact when it was given exactly (an
+    int, a rational string or a Fraction), otherwise as its float.
+    """
 
     kind: str
-    s: Fraction | None
-    p: Fraction
-    q: Fraction | None
+    s: Fraction | float
+    p: Fraction | float
+    q: Fraction | float
     n: int
     m: int
     value: float
@@ -147,9 +180,9 @@ class NormReport:
     def to_json(self) -> str:
         payload = {
             "kind": self.kind,
-            "s": None if self.s is None else str(self.s),
+            "s": str(self.s),
             "p": str(self.p),
-            "q": None if self.q is None else str(self.q),
+            "q": str(self.q),
             "N": self.n,
             "M": self.m,
             "value": self.value,
@@ -157,6 +190,10 @@ class NormReport:
             "block0_convention": BLOCK0_CONVENTION,
         }
         return json.dumps(payload, sort_keys=True)
+
+
+def _recorded_index(x) -> Fraction | float:
+    return as_fraction(x) if isinstance(x, (int, str, Fraction)) else float(x)
 
 
 def besov_norm(u: SpectralField, s, p, q) -> NormReport:
@@ -167,9 +204,9 @@ def besov_norm(u: SpectralField, s, p, q) -> NormReport:
     block_lp = block_lp_norms(u, p)
     return NormReport(
         kind="besov",
-        s=as_fraction(s) if isinstance(s, (int, str, Fraction)) else None,
-        p=as_fraction(p) if isinstance(p, (int, str, Fraction)) else None,
-        q=as_fraction(q) if isinstance(q, (int, str, Fraction)) else None,
+        s=_recorded_index(s),
+        p=_recorded_index(p),
+        q=_recorded_index(q),
         n=u.n,
         m=2 * u.n,
         value=besov_from_block_lp(block_lp, s, q),

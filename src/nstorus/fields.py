@@ -166,7 +166,9 @@ class SpectralField:
     real scalars (complex scalars would break the reality constraint).
     """
 
-    __slots__ = ("n", "c", "_max_mode_inf")
+    # _max_mode_inf and the block L_p norms of besov.block_lp_norms are
+    # filled on first use; both depend only on the read-only c.
+    __slots__ = ("n", "c", "_max_mode_inf", "_block_lp")
 
     def __init__(self, n: int, coeffs: np.ndarray):
         k1, k2, canon, _, _, _, _ = _lattice(n)

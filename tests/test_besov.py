@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nstorus.besov import (
     BesovParams,
@@ -139,6 +141,21 @@ class TestBesovNorm:
         assert data["block0_convention"] == "0<|k|<=2"
         assert all(set(b) == {"m", "lp", "contribution"} for b in data["blocks"])
 
+    def test_fraction_indices_recorded_exactly(self):
+        rep = besov_norm(SINGLE, Fraction(-1), Fraction(5, 2), Fraction(3))
+        assert all(type(x) is Fraction for x in (rep.s, rep.p, rep.q))
+        assert (rep.s, rep.p, rep.q) == (-1, Fraction(5, 2), 3)
+        data = json.loads(rep.to_json())
+        assert (data["s"], data["p"], data["q"]) == ("-1", "5/2", "3")
+
+    def test_float_indices_recorded_as_floats(self):
+        rep = besov_norm(SINGLE, -1.0, 2.5, 3.0)
+        assert all(type(x) is float for x in (rep.s, rep.p, rep.q))
+        assert (rep.s, rep.p, rep.q) == (-1.0, 2.5, 3.0)
+        data = json.loads(rep.to_json())
+        assert (data["s"], data["p"], data["q"]) == ("-1.0", "2.5", "3.0")
+        assert rep.value == besov_value(SINGLE, Fraction(-1), Fraction(5, 2), Fraction(3))
+
     def test_power_law_concentrates_in_first_block(self):
         u = random_field(32, 10.0, seed=2)
         rep = besov_norm(u, 0, 2, 2)
@@ -230,3 +247,101 @@ def test_block_lp_reuse_matches_direct():
     blocks = block_lp_norms(u, 3)
     direct = besov_value(u, Fraction(1, 2), 3, 4)
     assert abs(besov_from_block_lp(blocks, 0.5, 4) - direct) < 1e-14
+
+
+def all_blocks_lp_norms(u, p):
+    """Every dyadic block through one batched irfft2, with no memo and no skip."""
+    m = 2 * u.n
+    spec = u.full_coefficient_arrays(m, _block_masks(u.n))
+    values = np.fft.irfft2(spec, s=(m, m), norm="forward")
+    mag = np.sqrt(values[:, 0] ** 2 + values[:, 1] ** 2)
+    pf = float(p)
+    lp = ((2.0 * np.pi / m) ** 2 * np.sum(mag**pf, axis=(-2, -1))) ** (1.0 / pf)
+    return [(blk, float(v)) for blk, v in enumerate(lp)]
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """The input shape of each irfft2 call made while the test runs."""
+    calls = []
+    irfft2 = np.fft.irfft2
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return irfft2(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft2", counting)
+    return calls
+
+
+class TestBlockNormMemo:
+    def test_repeat_calls_make_one_transform(self, transforms):
+        u = random_field(16, 1.0, seed=31)
+        first = block_lp_norms(u, 3)
+        assert block_lp_norms(u, 3) == first
+        besov_value(u, 1, 3, 2)
+        besov_value(u, -1, 3, 5)
+        assert len(transforms) == 1
+
+    def test_fraction_and_float_share_a_transform(self, transforms):
+        u = random_field(16, 1.0, seed=32)
+        exact = block_lp_norms(u, Fraction(5, 2))
+        assert block_lp_norms(u, 2.5) == exact
+        assert block_lp_norms(u, "5/2") == exact
+        assert len(transforms) == 1
+
+    def test_new_p_makes_a_new_transform(self, transforms):
+        u = random_field(16, 1.0, seed=33)
+        at2, at4 = block_lp_norms(u, 2), block_lp_norms(u, 4)
+        assert len(transforms) == 2
+        assert at2 != at4
+
+    def test_equal_fields_give_equal_norms(self, transforms):
+        u = random_field(16, 1.0, seed=34)
+        twin = SpectralField(16, u.c.copy())
+        assert block_lp_norms(twin, 3) == block_lp_norms(u, 3)
+        assert len(transforms) == 2
+
+    def test_returned_list_does_not_alias_the_memo(self):
+        u = random_field(16, 1.0, seed=35)
+        first = block_lp_norms(u, 3)
+        expected = list(first)
+        first[0] = (0, -1.0)
+        first.append((99, 1.0))
+        assert block_lp_norms(u, 3) == expected
+
+    def test_p_below_one_always_raises_and_is_not_stored(self, transforms):
+        u = random_field(16, 1.0, seed=36)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                block_lp_norms(u, Fraction(1, 2))
+        assert transforms == []
+        assert 0.5 not in getattr(u, "_block_lp", {})
+        zero = SpectralField.zeros(8)
+        with pytest.raises(ValueError):
+            block_lp_norms(zero, 0.5)
+
+    def test_zero_field_needs_no_transform(self, transforms):
+        zero = SpectralField.zeros(16)
+        got = block_lp_norms(zero, 3)
+        assert transforms == []
+        assert got == all_blocks_lp_norms(zero, 3)
+        assert all(lp == 0.0 for _, lp in got)
+
+    def test_blocks_beyond_the_support_are_not_transformed(self, transforms):
+        # support 10 at n = 32: |k|^2 <= 200 never reaches block 4 (256 < |k|^2)
+        u = random_field(32, 1.0, seed=37, band=10)
+        got = block_lp_norms(u, 3)
+        assert [shape[0] for shape in transforms] == [4]
+        assert len(got) == 5 and got[4] == (4, 0.0)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(half=st.integers(1, 32), data=st.data(), seed=st.integers(0, 7),
+       gamma=st.sampled_from([0.0, 1.0, 2.5]), p=st.sampled_from([2, Fraction(5, 2), 3, 4]))
+def test_support_limited_blocks_match_all_blocks(half, data, seed, gamma, p):
+    # the support's diagonal mode (s, s) has |k|^2 = 2 s^2, so a skip bound
+    # below 2 s^2 drops a nonzero block and fails here
+    support = data.draw(st.integers(1, half))
+    u = random_field(2 * half, gamma, seed, band=support)
+    assert block_lp_norms(u, p) == all_blocks_lp_norms(u, p)

@@ -8,6 +8,7 @@ from nstorus.errors import NonFiniteField, ResolutionMismatch
 from nstorus.fields import SpectralField, random_field
 from nstorus.stokes import (
     ForcingSpec,
+    LinearRegularityReport,
     SampledForcing,
     apply_a,
     forcing_lr_norm,
@@ -153,6 +154,31 @@ class TestStokesSolve:
         assert np.isfinite(rep.w_norm) and rep.w_norm > 0
         assert np.isfinite(rep.ratio) and rep.ratio > 0
         assert np.isfinite(rep.continuity_ratio) and rep.continuity_ratio > 0
+
+    def test_regularity_report_transforms_each_field_once(self, monkeypatch):
+        # 9 states and 9 derivatives in w1r_norm, u0 and the forcing in the data
+        # norm; the sup-in-time series reuses the states' block norms at p
+        u0 = random_field(16, 2.0, seed=14)
+        f = ForcingSpec.from_random(16, 2.0, seed=15, amplitude=0.5)
+        traj = stokes_solve(u0, f, 1.0, 8)
+        calls = []
+        irfft2 = np.fft.irfft2
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return irfft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft2", counting)
+        rep = linear_regularity_report(traj, f, u0, PARAMS)
+        monkeypatch.undo()
+        assert len(calls) == 20
+        assert rep == LinearRegularityReport(
+            w_norm=1.82115286773662,
+            data_norm=2.292626964881605,
+            ratio=0.7943520230866111,
+            sup_initial_space=1.5076232769424656,
+            continuity_ratio=0.827840047725473,
+        )
 
 
 def _per_sample_lr_norm(forcing, times):
