@@ -19,7 +19,6 @@ from .besov import (
     sobolev_norm,
 )
 from .fields import (
-    GridField,
     SpectralField,
     load_snapshot,
     random_field,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BesovParams",
     "ForcingSpec",
-    "GridField",
     "Scenario",
     "SolverConfig",
     "SpectralField",

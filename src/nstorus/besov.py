@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import GridField, SpectralField, _lattice
+from .fields import SpectralField, _lattice
 
 BLOCK0_CONVENTION = "0<|k|<=2"
 
@@ -96,17 +96,13 @@ def _block_masks(n: int) -> np.ndarray:
     return masks
 
 
-def lp_norm(grid, p) -> float:
+def lp_norm(samples: np.ndarray, p) -> float:
     """L_p norm on the torus: ((2 pi / M)^2 sum |u(node)|^p)^(1/p).
 
-    Accepts a GridField (vector samples, pointwise Euclidean magnitude) or a
-    plain scalar sample array.
+    samples is the (2, M, M) velocity stack that SpectralField.to_grid
+    returns; |u| is the pointwise Euclidean magnitude.
     """
-    if isinstance(grid, GridField):
-        mag = grid.pointwise_magnitude()
-    else:
-        mag = np.abs(np.asarray(grid, dtype=float))
-    return float(_lp_norms(mag, _p_float(p)))
+    return float(_lp_norms(samples, _p_float(p)))
 
 
 def _p_float(p) -> float:
@@ -117,8 +113,9 @@ def _p_float(p) -> float:
     return pf
 
 
-def _lp_norms(mag: np.ndarray, pf: float) -> np.ndarray:
-    """L_p norms of magnitude samples over the last two (grid) axes."""
+def _lp_norms(samples: np.ndarray, pf: float) -> np.ndarray:
+    """L_p norms of velocity stacks (..., 2, M, M) over their grid axes."""
+    mag = np.sqrt(samples[..., 0, :, :] ** 2 + samples[..., 1, :, :] ** 2)
     cell = (2.0 * np.pi / mag.shape[-1]) ** 2
     return (cell * np.sum(mag**pf, axis=(-2, -1))) ** (1.0 / pf)
 
@@ -154,8 +151,7 @@ def block_lp_norms(u: SpectralField, p) -> list[tuple[int, float]]:
             m = 2 * u.n
             spec = u.full_coefficient_arrays(m, _block_masks(u.n)[:reached])
             values = np.fft.irfft2(spec, s=(m, m), norm="forward")
-            mag = np.sqrt(values[:, 0] ** 2 + values[:, 1] ** 2)
-            lps[:reached] = _lp_norms(mag, pf).tolist()
+            lps[:reached] = _lp_norms(values, pf).tolist()
         memo[pf] = tuple(lps)
     return list(enumerate(memo[pf]))
 
@@ -198,9 +194,7 @@ def _recorded_index(x) -> Fraction | float:
 
 def besov_norm(u: SpectralField, s, p, q) -> NormReport:
     """B^s_{p,q} norm: (sum_m (2^(m s) ||block_m u||_{L_p})^q)^(1/q)."""
-    sf, qf = index_float(s), index_float(q)
-    if qf < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
+    sf = index_float(s)
     block_lp = block_lp_norms(u, p)
     return NormReport(
         kind="besov",
@@ -215,12 +209,15 @@ def besov_norm(u: SpectralField, s, p, q) -> NormReport:
 
 
 def besov_value(u: SpectralField, s, p, q) -> float:
-    return besov_norm(u, s, p, q).value
+    """The value of besov_norm(u, s, p, q), without its report."""
+    return besov_from_block_lp(block_lp_norms(u, p), s, q)
 
 
 def besov_from_block_lp(block_lp: list[tuple[int, float]], s, q) -> float:
-    """Combine precomputed block L_p norms into a B^s_{.,q} value."""
+    """Combine precomputed block L_p norms into a B^s_{.,q} value (q >= 1)."""
     sf, qf = index_float(s), index_float(q)
+    if qf < 1.0:
+        raise ValueError(f"q must be >= 1, got {q}")
     return float(sum(((2.0 ** (blk * sf)) * lp) ** qf for blk, lp in block_lp) ** (1.0 / qf))
 
 

@@ -31,7 +31,7 @@ from .besov import BesovParams, as_fraction, besov_norm, lp_norm, sobolev_norm
 from .errors import NstorusError
 from .fields import load_snapshot, random_field, save_snapshot
 from .nonlinear import EnsembleSpec, energy_lemma_ensemble, verify_estimate_chain
-from .scenario import Scenario
+from .scenario import Scenario, _finite
 from .solver import regularity_norms_y, solve_local, solve_split, uniqueness_probe
 from .stokes import stokes_solve
 from .trajectory import cumulative_trapezoid
@@ -54,9 +54,14 @@ def _meta(scenario: Scenario | None, **extra) -> dict:
     return meta
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_text(path: Path, text: str) -> None:
+    """Write an artifact, making its directory first."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(text)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -77,7 +82,7 @@ def cmd_admissibility(args) -> int:
         report = check_global(params) if args.use_global else check_local(params)
         text = report.to_json()
         if args.out:
-            Path(args.out).write_text(text + "\n")
+            _write_text(Path(args.out), text + "\n")
         else:
             print(text)
         if report.failed_ids:
@@ -89,8 +94,7 @@ def cmd_admissibility(args) -> int:
         denominator = args.denominator if args.denominator else 2**args.depth
         scan = scan_region(as_fraction(args.s), denominator)
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("\n".join(scan.csv_lines()) + "\n")
+        _write_text(out, "\n".join(scan.csv_lines()) + "\n")
         print(f"s = {scan.s}: {scan.local_count} local / {scan.global_count} global "
               f"feasible grid points (denominator {scan.denominator}) -> {out}")
         return 0
@@ -111,7 +115,7 @@ def cmd_norms(args) -> int:
         text = json.dumps({"kind": "lp", "p": args.p, "N": field.n, "value": value},
                           sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_text(Path(args.out), text + "\n")
     else:
         print(text)
     return 0
@@ -240,15 +244,11 @@ def cmd_verify_estimates(args) -> int:
     chain = verify_estimate_chain(params, ensemble)
     energy = energy_lemma_ensemble(0.5, params.p, params.r, ensemble)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "estimates.json").write_text(
-        json.dumps({"meta": _meta(None), "chain": json.loads(chain.to_json()),
-                    "energy": json.loads(energy.to_json())}, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / "estimates.json", {"meta": _meta(None), "chain": json.loads(chain.to_json()),
+                                         "energy": json.loads(energy.to_json())})
     header = "inequality,lhs,rhs,ratio,max_ratio,mean_ratio,count,seed"
-    (out / "estimates.csv").write_text(
-        "\n".join([header, chain.csv_row(), energy.csv_row()]) + "\n"
-    )
+    _write_text(out / "estimates.csv",
+                "\n".join([header, chain.csv_row(), energy.csv_row()]) + "\n")
     print(f"product-estimate max ratio {chain.max_ratio:.6g}; energy-lemma max constant "
           f"{energy.max_ratio:.6g} -> {out}")
     return 0
@@ -310,7 +310,7 @@ def cmd_reference_table(args) -> int:
             ok = False
     text = "\n".join(lines)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_text(Path(args.out), text + "\n")
     print(text)
     return 0 if ok else 1
 
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     unq.add_argument("--scenario", required=True)
     unq.add_argument("--out", required=True)
     unq.add_argument("--halvings", type=int, default=8)
-    unq.add_argument("--delta-amplitude", type=float, default=1e-3)
+    unq.add_argument("--delta-amplitude", type=_finite, default=1e-3)
     unq.set_defaults(fn=cmd_uniqueness_probe)
 
     ref = sub.add_parser("reproduce-appendix-b",

@@ -357,8 +357,8 @@ class SpectralField:
             np.add.at(flat, (slice(None), plan.dest_c), wf[:, plan.src_c].conj())
         return out.reshape(lead + (m, m // 2 + 1))
 
-    def to_grid(self, m: int | None = None) -> "GridField":
-        """Evaluate the field on the uniform m x m grid of [0, 2pi)^2.
+    def to_grid(self, m: int | None = None) -> np.ndarray:
+        """The real (2, m, m) stack [u1, u2] of samples on the uniform m x m grid.
 
         m defaults to 2n (exact trapezoidal quadrature for quadratic
         quantities of the reconstructed trigonometric polynomial).
@@ -367,8 +367,7 @@ class SpectralField:
             m = 2 * self.n
         if m < self.n:
             raise ResolutionMismatch(f"grid size {m} < resolution {self.n}")
-        values = np.fft.irfft2(self.full_coefficient_arrays(m), s=(m, m), norm="forward")
-        return GridField(np.moveaxis(values, 0, -1))
+        return np.fft.irfft2(self.full_coefficient_arrays(m), s=(m, m), norm="forward")
 
     def grid_state(self, m: int) -> "GridState":
         """Velocity and gradient on the m x m grid, from one irfft2.
@@ -397,26 +396,6 @@ class SpectralField:
         for k1, k2, uk in self.active_modes():
             out[(k1, k2)] = complex(-1j * uk / np.hypot(k1, k2))
         return out
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Real velocity samples on the uniform grid of [0, 2pi)^2, shape (m, m, 2)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[0] != v.shape[1] or v.shape[2] != 2:
-            raise ResolutionMismatch(f"grid values must have shape (m, m, 2), got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    def pointwise_magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.values**2, axis=-1))
 
 
 @dataclass(frozen=True)

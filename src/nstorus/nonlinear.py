@@ -147,9 +147,15 @@ def trilinear(u: SpectralField, v: SpectralField, w: SpectralField,
 class EnsembleSpec:
     """Seeded random ensemble: count fields per resolution, unit amplitude."""
 
-    count: int = 64
-    seed: int = 0
-    resolutions: tuple = (16, 32, 64)
+    count: int
+    seed: int
+    resolutions: tuple
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"ensemble count must be >= 1, got {self.count}")
+        if not self.resolutions:
+            raise ValueError("ensemble resolutions must not be empty")
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 Everything here is diagonal on the divergence-free basis: A multiplies a
 coefficient by |k|^2, the semigroup by exp(-t |k|^2).  The linear solve is
-evaluated per mode from the variation-of-constants formula; for constant
-and sinusoidal forcing the time integral is closed form, so the linear
-layer carries no time-discretization error at all.  Sampled forcing series
-are integrated with the piecewise-constant rule, interval by interval.
+evaluated per mode from the variation-of-constants formula; every
+forcing is a ForcingSpec of constant and sinusoidal laws, whose time
+integral is closed form, so the linear layer carries no
+time-discretization error at all.
 
 forcing_lr_norm is the single home of the forcing norm
 ||f||_{L^r(0,T; B^{-s}_{p,q})} on a sample grid; every data norm, split
@@ -145,25 +145,6 @@ class ForcingSpec:
         return out
 
 
-class SampledForcing:
-    """Forcing known only at uniform sample times, held piecewise constant.
-
-    On [t_i, t_{i+1}) the forcing is fields[i]; field_at(t) follows the same
-    left-continuous convention.
-    """
-
-    def __init__(self, times, fields):
-        self.times = np.asarray(times, dtype=float)
-        self.fields = list(fields)
-        if self.times.size != len(self.fields):
-            raise ValueError("times and fields must align")
-        self.n = self.fields[0].n
-
-    def field_at(self, t: float) -> SpectralField:
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        return self.fields[max(0, min(i, len(self.fields) - 1))]
-
-
 def forcing_lr_norm(forcing, params, times) -> float:
     """||f||_{L^r(0,T; B^{-s}_{p,q})}, trapezoid in time over the sample grid.
 
@@ -173,7 +154,7 @@ def forcing_lr_norm(forcing, params, times) -> float:
     def norm_at(t):
         return besov_value(forcing.field_at(float(t)), -params.s, params.p, params.q)
 
-    if isinstance(forcing, ForcingSpec) and forcing.is_steady():
+    if forcing.is_steady():
         vals = np.full(len(times), norm_at(times[0]))
     else:
         vals = np.array([norm_at(t) for t in times])
@@ -192,36 +173,26 @@ def data_f_norm(u0: SpectralField, forcing, params, times) -> float:
 def stokes_solve(u0: SpectralField, forcing, t_final: float, steps: int) -> Trajectory:
     """Solve u' + Au = f, u(0) = u0 on [0, t_final] per mode.
 
-    Closed-form Duhamel for ForcingSpec laws; the piecewise-constant rule
-    (each interval integrated exactly) for SampledForcing.  Derivative
-    samples are taken from the equation, u' = f - Au.  A non-finite
-    coefficient at any sample raises NonFiniteField.
+    Each sample is the closed-form Duhamel solution at its time, and the
+    derivative samples are taken from the equation, u' = f - Au.  A
+    non-finite coefficient at any sample raises NonFiniteField.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if forcing.n != u0.n:
         raise ResolutionMismatch("forcing resolution differs from initial data")
     times = np.linspace(0.0, t_final, steps + 1)
-    fields = []
-    if isinstance(forcing, SampledForcing):
-        if forcing.times.size != times.size or not np.allclose(forcing.times, times):
-            raise ResolutionMismatch("sampled forcing grid must match the solve grid")
-        dt = t_final / steps
-        u = u0
-        fields.append(u)
-        decay = u0.radial_weights(lambda kk: np.exp(-dt * kk.astype(float)))
-        gain = u0.radial_weights(lambda kk: -np.expm1(-dt * kk.astype(float)) / kk.astype(float))
-        for i in range(steps):
-            u = u.scale_radial(decay) + forcing.fields[i].scale_radial(gain)
-            fields.append(u)
-    else:
-        for t in times:
-            fields.append(semigroup(u0, float(t)) + forcing.duhamel_term(float(t)))
+    fields = [semigroup(u0, float(t)) + forcing.duhamel_term(float(t)) for t in times]
+    check_finite_samples(times, fields)
+    derivs = [forcing.field_at(float(t)) - apply_a(u) for t, u in zip(times, fields)]
+    return Trajectory(times, fields, derivs=derivs)
+
+
+def check_finite_samples(times, fields) -> None:
+    """Raise NonFiniteField naming the first sample with a non-finite coefficient."""
     bad = next((i for i, u in enumerate(fields) if u.has_nonfinite()), None)
     if bad is not None:
         raise NonFiniteField(f"non-finite coefficient at sample {bad} (t = {times[bad]:.6g})")
-    derivs = [forcing.field_at(float(t)) - apply_a(u) for t, u in zip(times, fields)]
-    return Trajectory(times, fields, derivs=derivs)
 
 
 @dataclass(frozen=True)

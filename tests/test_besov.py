@@ -241,6 +241,14 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolation_ratio(SINGLE, 0, 1, 1.5, 2, 2)
 
+    def test_q_below_one_rejected_like_besov_norm(self):
+        u = random_field(16, 1.0, seed=41)
+        for value in (lambda: besov_norm(u, 0, 2, "1/2"),
+                      lambda: besov_value(u, 0, 2, "1/2"),
+                      lambda: interpolation_ratio(u, 0, 1, 0.5, 2, "1/2")):
+            with pytest.raises(ValueError, match="q must be >= 1"):
+                value()
+
 
 def test_block_lp_reuse_matches_direct():
     u = random_field(16, 1.0, seed=30)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from nstorus import fields
 from nstorus.errors import InconsistentConjugatePair, ResolutionMismatch, ZeroMode
 from nstorus.fields import (
-    GridField,
     SpectralField,
     _leray_project,
     canonical_shape,
@@ -28,8 +27,8 @@ def grid_nodes(m):
 
 
 def project(values, n):
-    """Leray projection of real (m, m, 2) grid samples onto the basis at resolution n."""
-    spec = np.fft.rfft2(np.moveaxis(values, -1, 0), norm="forward")
+    """Leray projection of real (2, m, m) grid samples onto the basis at resolution n."""
+    spec = np.fft.rfft2(values, norm="forward")
     return SpectralField(n, _leray_project(spec, n))
 
 
@@ -47,7 +46,7 @@ def perp_gradient(scalar):
     fh = np.fft.fft2(scalar)
     d1 = np.fft.ifft2(1j * k[:, None] * fh).real
     d2 = np.fft.ifft2(1j * k[None, :] * fh).real
-    return np.stack([-d2, d1], axis=-1)
+    return np.stack([-d2, d1])
 
 
 class TestFromModes:
@@ -68,8 +67,8 @@ class TestFromModes:
         g = u.to_grid(16)
         xi = grid_nodes(16)
         expected = np.cos(2 * xi)[:, None] / np.pi * np.ones(16)[None, :]
-        assert np.max(np.abs(g.values[:, :, 0])) == 0.0
-        assert np.max(np.abs(g.values[:, :, 1] - expected)) < 1e-14
+        assert np.max(np.abs(g[0])) == 0.0
+        assert np.max(np.abs(g[1] - expected)) < 1e-14
 
     def test_consistent_pair_accepted(self):
         u = SpectralField.from_modes(8, [((2, 0), 1.0), ((-2, 0), -1.0)])
@@ -95,13 +94,13 @@ class TestFromModes:
 class TestGridTransforms:
     def test_zero_round_trip(self):
         u = SpectralField.zeros(8)
-        assert project(u.to_grid(16).values, 8).is_zero()
+        assert project(u.to_grid(16), 8).is_zero()
 
     @pytest.mark.parametrize("m_extra", [2, 8, 16])
     def test_round_trip_identity(self, m_extra):
         u = random_field(8, 1.0, seed=3)
         m = 8 + m_extra
-        v = project(u.to_grid(m).values, 8)
+        v = project(u.to_grid(m), 8)
         scale = np.max(np.abs(u.c))
         assert np.max(np.abs(v.c - u.c)) < 1e-12 * scale
 
@@ -114,24 +113,24 @@ class TestGridTransforms:
     def test_parseval(self, m):
         u = random_field(8, 0.5, seed=11)
         g = u.to_grid(m)
-        grid_sq = (2 * np.pi / m) ** 2 * np.sum(g.pointwise_magnitude() ** 2)
+        grid_sq = (2 * np.pi / m) ** 2 * np.sum(g**2)
         assert abs(grid_sq - u.energy()) < 1e-10 * u.energy()
 
     def test_gradient_field_projects_to_zero(self):
         m = 32
         xi1 = grid_nodes(m)[:, None] * np.ones(m)[None, :]
         xi2 = np.ones(m)[:, None] * grid_nodes(m)[None, :]
-        grad_phi = np.stack([-np.sin(xi1 + xi2), -np.sin(xi1 + xi2)], axis=-1)
+        grad_phi = np.stack([-np.sin(xi1 + xi2), -np.sin(xi1 + xi2)])
         z = project(grad_phi, 8)
         assert np.max(np.abs(z.c)) < 1e-12 * np.max(np.abs(grad_phi))
 
     def test_leray_projection_idempotent(self):
         rng = np.random.default_rng(5)
         m = 32
-        raw = rng.standard_normal((m, m, 2))
-        raw -= raw.mean(axis=(0, 1))
+        raw = rng.standard_normal((2, m, m))
+        raw -= raw.mean(axis=(1, 2), keepdims=True)
         once = project(raw, 8)
-        twice = project(once.to_grid(m).values, 8)
+        twice = project(once.to_grid(m), 8)
         scale = np.max(np.abs(once.c))
         assert np.max(np.abs(twice.c - once.c)) < 1e-12 * scale
 
@@ -142,9 +141,17 @@ class TestGridTransforms:
         grad_scale = np.max(np.abs(g[2:]))
         assert np.max(np.abs(div)) <= 1e-12 * grad_scale
 
-    def test_grid_field_shape_enforced(self):
-        with pytest.raises(ResolutionMismatch):
-            GridField(np.zeros((8, 8, 3)))
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(half=st.integers(1, 32), data=st.data())
+def test_grid_samples_are_the_grid_state_velocity(half, data):
+    # to_grid and grid_state share one scatter and one irfft2 layout, so the
+    # (2, m, m) samples are the first two rows of the grid state bit for bit
+    n = 2 * half
+    support = data.draw(st.integers(1, half), label="support")
+    m = data.draw(st.integers(max(n, 2 * support + 1), 2 * n + 2), label="m")
+    u = random_field(n, 1.0, data.draw(st.integers(0, 1000), label="seed"), band=support)
+    assert np.array_equal(u.to_grid(m), u.grid_state(m).values[:2])
 
 
 class TestStreamFunction:
@@ -161,14 +168,14 @@ class TestStreamFunction:
         expected = np.sin(2 * xi)[:, None] / (2 * np.pi) * np.ones(16)[None, :]
         assert np.max(np.abs(grid - expected)) < 1e-14
         rec = perp_gradient(grid)
-        assert np.max(np.abs(rec - u.to_grid(16).values)) < 1e-13
+        assert np.max(np.abs(rec - u.to_grid(16))) < 1e-13
 
     def test_random_field_stream_recovers_velocity(self):
         u = random_field(8, 1.0, seed=21)
         psi = u.stream_coefficients()
         rec = perp_gradient(scalar_modes_to_grid(psi, 16))
         g = u.to_grid(16)
-        assert np.max(np.abs(rec - g.values)) <= 1e-12 * max(np.max(np.abs(g.values)), 1e-300)
+        assert np.max(np.abs(rec - g)) <= 1e-12 * max(np.max(np.abs(g)), 1e-300)
 
 
 class TestRandomField:
@@ -230,7 +237,7 @@ class TestAlgebra:
         a = random_field(8, 1.0, seed=1)
         b = random_field(8, 1.0, seed=2)
         ga, gb = a.to_grid(32), b.to_grid(32)
-        integral = (2 * np.pi / 32) ** 2 * np.sum(ga.values * gb.values)
+        integral = (2 * np.pi / 32) ** 2 * np.sum(ga * gb)
         assert abs(a.inner(b) - integral) < 1e-12 * max(1.0, abs(integral))
 
 

@@ -153,7 +153,17 @@ class TestEstimateChain:
 
     def test_gate_enforced(self):
         with pytest.raises(InadmissibleParams):
-            verify_estimate_chain(BesovParams(0, 2, 2, 2), EnsembleSpec(count=1, resolutions=(8,)))
+            verify_estimate_chain(BesovParams(0, 2, 2, 2),
+                                  EnsembleSpec(count=1, seed=0, resolutions=(8,)))
+
+    @pytest.mark.parametrize("count,resolutions,message", [
+        (0, (8,), "ensemble count must be >= 1, got 0"),
+        (-2, (8,), "ensemble count must be >= 1, got -2"),
+        (4, (), "ensemble resolutions must not be empty"),
+    ])
+    def test_empty_ensemble_rejected(self, count, resolutions, message):
+        with pytest.raises(ValueError, match=message):
+            EnsembleSpec(count=count, seed=0, resolutions=resolutions)
 
 
 class TestEnergyLemma:

@@ -197,6 +197,47 @@ class TestCli:
         assert data["value"] > 0
         assert data["N"] == 8
 
+    @pytest.mark.parametrize("argv", [
+        ["admissibility", "check", "--s", "4/3", "--p", "5/2", "--q", "3", "--r", "3", "--global"],
+        ["admissibility", "check", "--s", "5/2", "--p", "5/2", "--q", "3", "--r", "3"],
+        ["reproduce-appendix-b"],
+    ])
+    def test_out_into_a_missing_directory(self, tmp_path, capsys, argv):
+        code = main(argv)
+        printed = capsys.readouterr().out
+        out = tmp_path / "new" / "dir" / "result.txt"
+        assert main(argv + ["--out", str(out)]) == code
+        assert out.read_text() == printed
+
+    @pytest.mark.parametrize("kind", ["besov", "sobolev", "lp"])
+    def test_norms_out_into_a_missing_directory(self, tmp_path, capsys, kind):
+        snap = tmp_path / "u.bnsf"
+        save_snapshot(random_field(8, 1.0, seed=3), snap)
+        argv = ["norms", "--snapshot", str(snap), "--kind", kind, "--p", "5/2"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "new" / "dir" / "norm.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == printed
+
+    def test_verify_estimates_out_into_a_missing_directory(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        assert main(["verify-estimates", "--count", "1", "--resolutions", "8",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "estimates.json").read_text())["chain"]["count"] == 1
+        assert (out / "estimates.csv").read_text().count("\n") == 3
+
+    @pytest.mark.parametrize("option,message", [
+        (["--count", "0"], "ensemble count must be >= 1, got 0"),
+        (["--count", "-2"], "ensemble count must be >= 1, got -2"),
+    ])
+    def test_verify_estimates_empty_ensemble_exit2(self, tmp_path, capsys, option, message):
+        out = tmp_path / "est"
+        code = main(["verify-estimates", *option, "--resolutions", "8", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
+
     def test_empty_scenario_exit2(self, tmp_path, capsys):
         bad = tmp_path / "empty.scn"
         bad.write_text("")
@@ -339,6 +380,18 @@ class TestCli:
                      "--halvings", halvings])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ValueError: num_halvings must be >= 1")
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
+    def test_uniqueness_probe_rejects_non_finite_amplitude(self, tmp_path, capsys, amplitude):
+        scn = tmp_path / "demo.scn"
+        scn.write_text(SCENARIO_TEXT)
+        out = tmp_path / "probe"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["uniqueness-probe", "--scenario", str(scn), "--out", str(out),
+                  f"--delta-amplitude={amplitude}"])
+        assert exit_info.value.code == 2
+        assert "argument --delta-amplitude" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     def test_uniqueness_probe_one_window_is_no_decrease(self, tmp_path, capsys):

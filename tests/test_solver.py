@@ -254,6 +254,30 @@ class TestLocalSolve:
             firsts.append(diag.factors[0])
         assert all(b < a for a, b in zip(firsts, firsts[1:]))
 
+    MIXED_FORCING = ((1, 1), 0.2), ((2, -1), 0.1 + 0.05j, "sinusoid", 7.0, 0.3)
+
+    def test_picard_sweeps_are_pinned(self):
+        # pinned bit for bit: the interval step's floating-point sequence must not change
+        cfg = SolverConfig(n=16, dt=0.05, t_final=0.4)
+        u0 = random_field(16, 2.0, seed=31, band=5, amplitude=0.3)
+        f = ForcingSpec.from_modes(16, self.MIXED_FORCING)
+        diag = picard_iterate(u0, f, PARAMS, cfg, 0.4, 8)
+        assert diag.converged and diag.iterations == 6
+        assert diag.diff_norms == [0.10937625917776739, 0.0013031467349584188,
+                                   7.116822085542142e-06, 9.516302464017835e-08,
+                                   1.0617748934318247e-09, 1.6322392652786763e-11]
+        assert diag.factors == [0.011914347270191755, 0.005461259192556875,
+                                0.013371561561655797, 0.011157431128807748,
+                                0.015372743086842262]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_picard_non_finite_sweep_rejected(self):
+        cfg = SolverConfig(n=16, dt=0.05, t_final=0.4)
+        u0 = random_field(16, 2.0, seed=31, band=5, amplitude=1e200)
+        f = ForcingSpec.from_modes(16, self.MIXED_FORCING)
+        with pytest.raises(NonFiniteField, match=r"sample 1 \(t = 0.05\)"):
+            picard_iterate(u0, f, PARAMS, cfg, 0.4, 8)
+
 
 class TestSplitData:
     def test_low_pass_data_splits_trivially(self):
@@ -428,6 +452,10 @@ class TestEstimator:
             "c_energy": 5.4100271980808904e-06,
             "c_ladyzhenskaya": 0.19937202379916305,
         }
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="ensemble count must be >= 1, got 0"):
+            estimate_empirical_constants(PARAMS, n=16, count=0, seed=2024)
 
     @pytest.mark.slow
     def test_default_constants_reproduce(self):

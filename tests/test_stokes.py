@@ -9,7 +9,6 @@ from nstorus.fields import SpectralField, random_field
 from nstorus.stokes import (
     ForcingSpec,
     LinearRegularityReport,
-    SampledForcing,
     apply_a,
     forcing_lr_norm,
     linear_regularity_report,
@@ -118,28 +117,10 @@ class TestStokesSolve:
             ref = f.field_at(float(t)) - apply_a(u)
             assert np.max(np.abs(du.c - ref.c)) <= 1e-14
 
-    def test_sampled_forcing_matches_constant(self):
-        f = ForcingSpec.from_modes(8, [((2, 0), 0.8)])
-        times = np.linspace(0, 1, 11)
-        sampled = SampledForcing(times, [f.field_at(0.0)] * 11)
-        a = stokes_solve(SpectralField.zeros(8), sampled, 1.0, 10)
-        b = stokes_solve(SpectralField.zeros(8), f, 1.0, 10)
-        assert np.max(np.abs(a.fields[-1].c - b.fields[-1].c)) < 1e-15
-
-    def test_sampled_grid_mismatch_rejected(self):
-        sampled = SampledForcing(np.linspace(0, 1, 5), [SpectralField.zeros(8)] * 5)
-        with pytest.raises(ResolutionMismatch):
-            stokes_solve(SpectralField.zeros(8), sampled, 1.0, 10)
-
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_solution_rejected(self):
         with pytest.raises(NonFiniteField, match="sample 0"):
             stokes_solve(SpectralField.zeros(8), ForcingSpec.from_random(8, float("nan"), 3),
-                         1.0, 10)
-        fields = [SpectralField.zeros(8)] * 11
-        fields[3] = SpectralField.from_modes(8, [((1, 1), float("inf"))])
-        with pytest.raises(NonFiniteField, match="sample 4"):
-            stokes_solve(SpectralField.zeros(8), SampledForcing(np.linspace(0, 1, 11), fields),
                          1.0, 10)
 
     def test_unresolvable_forcing_mode_rejected(self):
