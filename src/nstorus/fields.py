@@ -16,10 +16,10 @@ norm in the package depends on that convention.
 
 Every grid transform is a real FFT on the half spectrum (m, m//2 + 1).  One
 cached plan per (n, m) holds the scatter from the canonical lattice into
-that half spectrum, the i*k multipliers and the Leray gather back out of it;
-full_coefficient_arrays is the single scatter.  A GridState carries a
-field's velocity and gradient on one grid, made by one irfft2, so that
-every product of the field reuses them.
+that half spectrum and the gather back out of it; full_coefficient_arrays
+is the single scatter, and to_grid's (2, m, m) velocity stack, made by one
+irfft2, is a field's only grid layout.  Products and norms all start from
+it.
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ class _Plan:
     dest_c: np.ndarray
     src_c: np.ndarray
     prefix_c: np.ndarray
-    ik: np.ndarray       # (2, m, m//2 + 1): i k1, i k2 per slot
     gather: np.ndarray
     gsign: np.ndarray
 
@@ -122,31 +121,14 @@ def _plan(n: int, m: int) -> _Plan:
 
     dest_d, src_d, prefix_d = entries(a1, a2)
     dest_c, src_c, prefix_c = entries(-a1, -a2)
-    freq = np.fft.fftfreq(m, d=1.0 / m)
-    ik = np.stack(np.broadcast_arrays(1j * freq[:, None], 1j * freq[None, :mh]))
     g1, g2 = k1.ravel(), k2.ravel()
     direct = g2 % m < mh
     gather = np.where(direct, (g1 % m) * mh + g2 % m, (-g1 % m) * mh + (-g2 % m))
     gsign = np.where(direct, 1.0, -1.0)
-    plan = _Plan(dest_d, src_d, prefix_d, dest_c, src_c, prefix_c, ik, gather, gsign)
+    plan = _Plan(dest_d, src_d, prefix_d, dest_c, src_c, prefix_c, gather, gsign)
     for arr in vars(plan).values():
         arr.setflags(write=False)
     return plan
-
-
-def _leray_project(spec: np.ndarray, n: int) -> np.ndarray:
-    """Basis coefficients u_k = 2 pi (W_k . k_perp) / |k| on the canonical layout.
-
-    spec is the (2, m, m//2 + 1) half spectrum of the velocity Fourier
-    coefficients W (of exp(i k.xi)); gradient parts pair to zero against
-    the basis.
-    """
-    k1a, k2a, _, _, kabs, _, _ = _lattice(n)
-    plan = _plan(n, spec.shape[-2])
-    w = spec.reshape(2, -1)[:, plan.gather]
-    w.imag *= plan.gsign
-    wx, wy = w.reshape((2,) + k1a.shape)
-    return TWO_PI * (wx * (-k2a) + wy * k1a) / kabs
 
 
 def canonical_shape(n: int) -> tuple[int, int]:
@@ -369,21 +351,6 @@ class SpectralField:
             raise ResolutionMismatch(f"grid size {m} < resolution {self.n}")
         return np.fft.irfft2(self.full_coefficient_arrays(m), s=(m, m), norm="forward")
 
-    def grid_state(self, m: int) -> "GridState":
-        """Velocity and gradient on the m x m grid, from one irfft2.
-
-        The support must lie strictly inside m/2, where i*k differentiates
-        exactly.
-        """
-        support = self.max_mode_inf
-        if 2 * support >= m:
-            raise ResolutionMismatch(f"grid size {m} does not resolve support {support} below m/2")
-        w = self.full_coefficient_arrays(m)
-        ik = _plan(self.n, m).ik
-        spec = np.concatenate([w, ik * w[0], ik * w[1]])
-        values = np.fft.irfft2(spec, s=(m, m), norm="forward")
-        return GridState(self.n, support, values)
-
     # -- stream function --------------------------------------------------------
 
     def stream_coefficients(self) -> dict[tuple[int, int], complex]:
@@ -396,23 +363,6 @@ class SpectralField:
         for k1, k2, uk in self.active_modes():
             out[(k1, k2)] = complex(-1j * uk / np.hypot(k1, k2))
         return out
-
-
-@dataclass(frozen=True)
-class GridState:
-    """A field's velocity and gradient on the m x m grid, ready for products.
-
-    values is the real (6, m, m) stack [u1, u2, d1 u1, d2 u1, d1 u2, d2 u2];
-    max_mode_inf is the field's |k|_inf support, below m/2.
-    """
-
-    n: int
-    max_mode_inf: int
-    values: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[-1]
 
 
 _RANDOM_MASTER_N = 256

@@ -1,12 +1,12 @@
 """The bilinear advection operator, its brute-force oracle, and estimate harnesses.
 
-B(u, v) projects (u . grad) v back onto the divergence-free basis.  The
-pseudo-spectral path multiplies the grid states of u and v on the smallest
-grid that leaves no aliased product inside the retained band
-|k|_inf <= band (the aliasing count behind the 2/3 rule), so on that band
-the result is the exact Galerkin convolution, which is what restores the
-trilinear antisymmetry the energy arguments need.  The oracle computes the
-same convolution as a literal double sum over mode pairs.
+B(u, v) projects (u . grad) v = div(u (x) v) back onto the divergence-free
+basis.  The pseudo-spectral path multiplies velocity samples on a grid that
+leaves no aliased product inside the retained band |k|_inf <= band (the
+aliasing count behind the 2/3 rule), so on that band the result is the
+exact Galerkin convolution, which is what restores the trilinear
+antisymmetry the energy arguments need.  The oracle computes the same
+convolution as a literal double sum over mode pairs.
 
 The inequality constants of the estimate chain are never known numbers;
 the harnesses here measure them over seeded random ensembles and report
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,11 +27,10 @@ from .besov import as_fraction, besov_value, lp_norm
 from .errors import OracleCapExceeded, ResolutionMismatch
 from .fields import (
     TWO_PI,
-    GridState,
     SpectralField,
     _band_mask,
     _lattice,
-    _leray_project,
+    _plan,
     canonical_shape,
     gamma_for_regularity,
     random_field,
@@ -43,45 +43,79 @@ def dealias_band(n: int) -> int:
 
 
 def product_grid(s_u: int, s_v: int, band: int) -> int:
-    """Smallest even grid m on which B(u, v) is exact on |k|_inf <= band.
+    """Smallest grid m = 2^a 3^b (a >= 1) on which B(u, v) is exact on |k|_inf <= band.
 
-    With |k|_inf supports s_u and s_v the product has support s_u + s_v, and
-    an alias k + m j of it reaches the band only if m <= s_u + s_v + band.
-    m > 2 max(s_u, s_v) keeps both inputs off the Nyquist line.
+    Supports count as at least the band, so every band-limited field uses
+    product_grid(band, band, band).  The products u_i v_j have support
+    s_u + s_v, and an alias k + m j of them reaches the band only if
+    m <= s_u + s_v + band.  On 2^a 3^b grids alone the real FFT maps a row
+    constant along an axis to exact zeros, so shear flows stay steady.
     """
-    m = max(s_u + s_v + band + 1, 2 * max(s_u, s_v) + 1)
-    return m + m % 2
+    bound = max(s_u, band) + max(s_v, band) + band + 1
+    powers = range(bound.bit_length() + 1)
+    return min(m for m in (2**a * 3**b for a in powers[1:] for b in powers) if m >= bound)
 
 
-def grid_states(fields, band: int) -> tuple:
-    """Grid states of fields on one grid, exact for every product among them."""
-    s = max(f.max_mode_inf for f in fields)
-    m = product_grid(s, s, band)
-    return tuple(f.grid_state(m) for f in fields)
+@lru_cache(maxsize=None)
+def _projection(n: int, m: int, band: int):
+    """Weights taking the m x m half spectra of the three products to B on the band.
 
-
-def bilinear_b(u: SpectralField | GridState, v: SpectralField | GridState,
-               band: int | None = None) -> SpectralField:
-    """B(u, v) = P[(u . grad) v], dealiased to |k|_inf <= band.
-
-    u and v are fields or prebuilt grid states.  Fields are put on the grid
-    of product_grid (one state when u is v); prebuilt states set the grid,
-    which must be exact for both supports.
+    Returns (keep, gather, gsign, weights): keep lists the flat canonical
+    slots with |k|_inf <= band, gather and gsign are the plan's Leray gather
+    on those slots, and weights the (3, len(keep)) factors
+    (2 pi i / |k|) (k1 k2, k1^2, -k2^2) of u2 v2 - u1 v1, u1 v2 and u2 v1.
     """
-    if u.n != v.n:
-        raise ResolutionMismatch(f"resolutions differ: {u.n} vs {v.n}")
-    n = u.n
-    band = dealias_band(n) if band is None else band
-    need = product_grid(u.max_mode_inf, v.max_mode_inf, band)
-    m = next((x.m for x in (u, v) if isinstance(x, GridState)), need)
-    gu = u if isinstance(u, GridState) else u.grid_state(m)
-    gv = gu if v is u else v if isinstance(v, GridState) else v.grid_state(m)
-    if gv.m != m or m < need:
-        raise ResolutionMismatch(f"grid states on {gu.m} and {gv.m}; the product needs {need}")
-    uu, vv = gu.values, gv.values
-    w = uu[0] * vv[2::2] + uu[1] * vv[3::2]
-    spec = np.fft.rfft2(w, norm="forward")
-    return SpectralField(n, np.where(_band_mask(n, band), _leray_project(spec, n), 0.0))
+    k1, k2, canon, _, kabs, _, _ = _lattice(n)
+    keep = np.flatnonzero(canon & _band_mask(n, band))
+    a1, a2, ak = k1.ravel()[keep], k2.ravel()[keep], kabs.ravel()[keep]
+    plan = _plan(n, m)
+    gather, gsign = plan.gather[keep], plan.gsign[keep]
+    weights = (1j * TWO_PI / ak) * np.stack([a1 * a2, a1 * a1, -a2 * a2])
+    for arr in (keep, gather, gsign, weights):
+        arr.setflags(write=False)
+    return keep, gather, gsign, weights
+
+
+def bilinear_terms(terms, band: int) -> tuple:
+    """The sum of B(u, v) over the (u, v) pairs of each term, one field per term.
+
+    Since div u = 0, (u . grad) v = div(u (x) v), and the e_k coefficient
+    of B(u, v) is
+
+        (2 pi i / |k|) [k1 k2 (u2 v2 - u1 v1)^ + k1^2 (u1 v2)^ - k2^2 (u2 v1)^]_k,
+
+    so a product needs only velocity samples.  Each distinct field goes to
+    the product_grid of the largest support (at least n) once, and one rfft2
+    takes every term's three products to the band.
+    """
+    fields = {id(f): f for term in terms for pair in term for f in pair}
+    resolutions = {f.n for f in fields.values()}
+    if len(resolutions) > 1:
+        raise ResolutionMismatch(f"resolutions differ: {sorted(resolutions)}")
+    (n,) = resolutions
+    s = max(f.max_mode_inf for f in fields.values())
+    m = max(n, product_grid(s, s, band))
+    grid = {key: f.to_grid(m) for key, f in fields.items()}
+    prods = np.zeros((len(terms), 3, m, m))
+    for planes, term in zip(prods, terms):
+        for u, v in term:
+            (u1, u2), (v1, v2) = grid[id(u)], grid[id(v)]
+            planes[0] += u2 * v2 - u1 * v1
+            planes[1] += u1 * v2
+            planes[2] += u2 * v1
+    spec = np.fft.rfft2(prods, norm="forward").reshape(len(terms), 3, -1)
+    keep, gather, gsign, weights = _projection(n, m, band)
+    w = spec[..., gather]
+    w.imag *= gsign
+    values = (w * weights).sum(axis=-2)
+    out = np.zeros((len(terms), (n // 2 + 1) * (n + 1)), dtype=np.complex128)
+    out[:, keep] = values
+    return tuple(SpectralField(n, c.reshape(canonical_shape(n))) for c in out)
+
+
+def bilinear_b(u: SpectralField, v: SpectralField, band: int | None = None) -> SpectralField:
+    """B(u, v) = P[(u . grad) v], dealiased to |k|_inf <= band: the one-term bilinear_terms."""
+    return bilinear_terms([[(u, v)]], dealias_band(u.n) if band is None else band)[0]
 
 
 ORACLE_CAP = 16  # largest resolution the O(N^4) oracle accepts

@@ -12,9 +12,10 @@ scheme's own order instead of a lower-order quadrature.
 Coupled equations are integrated as one system: the state is a tuple of
 fields, each advanced by the same operations it would see alone.  The
 rough and smooth parts of the split solve, and the velocity with its
-difference equations in the uniqueness probe, step together and share
-each stage's grid states, so reconstructing the velocity as the sum of
-the two parts agrees with a direct solve down to round-off.
+difference equations in the uniqueness probe, step together, and each
+stage asks bilinear_terms for all its products at once.  Every product is
+on SolverConfig.grid_m, so the velocity as the sum of the two parts agrees
+with a direct solve down to round-off.
 
 The inequality constants the continuous theory only proves to exist
 (norm_inv_d0phi, c1, c2, c3, the energy-lemma constant) are empirical
@@ -45,9 +46,9 @@ from .fields import SpectralField, gamma_for_regularity, random_field
 from .nonlinear import (
     EnsembleSpec,
     bilinear_b,
+    bilinear_terms,
     dealias_band,
     energy_lemma_ensemble,
-    grid_states,
     product_grid,
 )
 from .stokes import (
@@ -84,7 +85,7 @@ class EmpiricalConstants:
 DEFAULT_CONSTANTS = EmpiricalConstants(
     norm_inv_d0phi=1.276947553043691,
     c1=0.08540805172378166,
-    c2=0.1981342021006554,
+    c2=0.19813420210065544,
     c3=1.2938890668858263,
     c_energy=5.6897452553122534e-05,
     c_ladyzhenskaya=0.2077355105547123,
@@ -119,7 +120,7 @@ class SolverConfig:
 
     @property
     def grid_m(self) -> int:
-        """Product grid of states confined to the band."""
+        """The grid of every product of a run: its states are confined to the band."""
         return product_grid(self.band, self.band, self.band)
 
     @property
@@ -199,12 +200,6 @@ def _band_forcing(forcing, band: int):
         value = forcing.field_at(0.0).truncated_inf(band)
         return lambda t: value
     return lambda t: forcing.field_at(t).truncated_inf(band)
-
-
-def _self_product(u: SpectralField, gu, band: int) -> SpectralField:
-    """B(u, u) on u's own grid, as its stand-alone solve has it: from gu when gu is on it."""
-    g = gu if gu.m == product_grid(u.max_mode_inf, u.max_mode_inf, band) else u
-    return bilinear_b(g, g, band=band)
 
 
 def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
@@ -442,11 +437,11 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y0: SpectralField, h: ForcingSpec
     """Smooth-part solve, integrated as one system with the rough part driving it.
 
     After the rough-part smallness checks, (y, x) is integrated jointly:
-    y' + Ay + B(y,y) = h and x' + Ax + B(x,x) + B(x,y) + B(y,x) = g, with the
-    grid states of y and x built once per stage and the energy accumulators
-    of x carried with the same RK4 weights.  Then the discrete energy
-    identity is evaluated at every sample, with the a priori envelope
-    implied by the configured energy-lemma constant.
+    y' + Ay + B(y,y) = h and x' + Ax + B(x,x) + B(x,y) + B(y,x) = g, the pair
+    B(x,y) + B(y,x) as one term, with the energy accumulators of x carried
+    with the same RK4 weights.  Then the discrete energy identity is
+    evaluated at every sample, with the a priori envelope implied by the
+    configured energy-lemma constant.
     """
     _check_rough_data(y0, h, params, config)
     band = config.band
@@ -455,12 +450,11 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y0: SpectralField, h: ForcingSpec
 
     def nonlin(state, t):
         y, x = state
-        gy, gx = grid_states(state, band)
+        byy, bxx, bxy = bilinear_terms([[(y, y)], [(x, x)], [(x, y), (y, x)]], band=band)
         f = force_g(t)
-        bxx = bilinear_b(gx, gx, band=band)
-        dx = f - bxx - bilinear_b(gx, gy, band=band) - bilinear_b(gy, gx, band=band)
-        return ((force_h(t) - _self_product(y, gy, band), {}),
-                (dx, {"visc": x.h_norm(1.0) ** 2, "work_b": bxx.inner(y), "work_g": f.inner(x)}))
+        return ((force_h(t) - byy, {}),
+                (f - bxx - bxy,
+                 {"visc": x.h_norm(1.0) ** 2, "work_b": bxx.inner(y), "work_g": f.inner(x)}))
 
     x0b = x0.truncated_inf(band)
     y_traj, traj = integrate((y0, x0b), nonlin, config.t_final, config.steps, band)
@@ -552,11 +546,9 @@ def uniqueness_probe(u0: SpectralField, forcing, params, config: SolverConfig,
     force = _band_forcing(forcing, band)
 
     def nonlin(state, t):
-        gu, *gds = grid_states(state, band)
-        du = force(t) - _self_product(state[0], gu, band)
-        return ((du, {}),) + tuple(
-            (-bilinear_b(gu, gd, band=band) - bilinear_b(gd, gu, band=band), {}) for gd in gds
-        )
+        u, *deltas = state
+        buu, *bud = bilinear_terms([[(u, u)]] + [[(u, d), (d, u)] for d in deltas], band=band)
+        return ((force(t) - buu, {}),) + tuple((-b, {}) for b in bud)
 
     state0 = (u0, SpectralField.zeros(u0.n))
     if delta0 is not None and not delta0.is_zero():

@@ -13,12 +13,12 @@ from nstorus import fields
 from nstorus.errors import InconsistentConjugatePair, ResolutionMismatch, ZeroMode
 from nstorus.fields import (
     SpectralField,
-    _leray_project,
     canonical_shape,
     load_snapshot,
     random_field,
     save_snapshot,
 )
+from test_transforms import complex_gradient
 
 
 def grid_nodes(m):
@@ -27,9 +27,12 @@ def grid_nodes(m):
 
 
 def project(values, n):
-    """Leray projection of real (2, m, m) grid samples onto the basis at resolution n."""
-    spec = np.fft.rfft2(values, norm="forward")
-    return SpectralField(n, _leray_project(spec, n))
+    """Leray projection of real (2, m, m) grid samples onto the basis at resolution n:
+    u_k = 2 pi (W_k . k_perp) / |k| for the Fourier coefficients W of the samples."""
+    m = values.shape[-1]
+    k1, k2, _, _, kabs, _, _ = fields._lattice(n)
+    wx, wy = np.fft.fft2(values)[:, k1 % m, k2 % m] / (m * m)
+    return SpectralField(n, 2 * np.pi * (wx * (-k2) + wy * k1) / kabs)
 
 
 def scalar_modes_to_grid(coeffs, m):
@@ -135,23 +138,10 @@ class TestGridTransforms:
         assert np.max(np.abs(twice.c - once.c)) < 1e-12 * scale
 
     def test_reconstruction_divergence_free(self):
-        # rows 2..5 of a grid state are d1 u1, d2 u1, d1 u2, d2 u2
-        g = random_field(16, 0.5, seed=2).grid_state(32).values
-        div = g[2] + g[5]
-        grad_scale = np.max(np.abs(g[2:]))
+        g = complex_gradient(random_field(16, 0.5, seed=2), 32)
+        div = g[0] + g[3]
+        grad_scale = np.max(np.abs(g))
         assert np.max(np.abs(div)) <= 1e-12 * grad_scale
-
-
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(half=st.integers(1, 32), data=st.data())
-def test_grid_samples_are_the_grid_state_velocity(half, data):
-    # to_grid and grid_state share one scatter and one irfft2 layout, so the
-    # (2, m, m) samples are the first two rows of the grid state bit for bit
-    n = 2 * half
-    support = data.draw(st.integers(1, half), label="support")
-    m = data.draw(st.integers(max(n, 2 * support + 1), 2 * n + 2), label="m")
-    u = random_field(n, 1.0, data.draw(st.integers(0, 1000), label="seed"), band=support)
-    assert np.array_equal(u.to_grid(m), u.grid_state(m).values[:2])
 
 
 class TestStreamFunction:

@@ -197,6 +197,28 @@ class TestCli:
         assert data["value"] > 0
         assert data["N"] == 8
 
+    @pytest.mark.parametrize("argv,code", [
+        (["admissibility", "check", "--s", "-4/3", "--p", "5/2", "--q", "3", "--r", "3"], 1),
+        (["admissibility", "scan", "--s", "-9/10", "--depth", "3", "--out", "{tmp}/r.csv"], 0),
+        (["norms", "--snapshot", "{tmp}/u.bnsf", "--s", "-4/3", "--p", "5/2", "--q", "3"], 0),
+        (["verify-estimates", "--s", "-9/10", "--count", "1", "--resolutions", "8",
+          "--out", "{tmp}/est"], 2),
+    ], ids=["check", "scan", "norms", "verify-estimates"])
+    def test_negative_rational_takes_the_spaced_form(self, tmp_path, capsys, argv, code):
+        # "--s -4/3" is read as "--s=-4/3", not as an option -4/3
+        save_snapshot(random_field(8, 1.0, seed=3), tmp_path / "u.bnsf")
+        spaced = [arg.format(tmp=tmp_path) for arg in argv]
+        i = spaced.index("--s")
+        joined = spaced[:i] + [f"--s={spaced[i + 1]}"] + spaced[i + 2:]
+        assert main(spaced) == code
+        printed = capsys.readouterr()
+        assert main(joined) == code
+        assert capsys.readouterr() == printed
+        if code == 2:  # the gate rejected the parsed s
+            assert printed.err.startswith("error: InadmissibleParams: local gate not satisfied")
+        else:
+            assert spaced[i + 1] in printed.out
+
     @pytest.mark.parametrize("argv", [
         ["admissibility", "check", "--s", "4/3", "--p", "5/2", "--q", "3", "--r", "3", "--global"],
         ["admissibility", "check", "--s", "5/2", "--p", "5/2", "--q", "3", "--r", "3"],

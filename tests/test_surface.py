@@ -12,7 +12,7 @@ SRC = Path(nstorus.__file__).parent
 SETTABLE_VALUES = 51
 
 # The real-FFT layer: every grid transform goes through these and nothing else.
-FFT_FUNCTIONS = {"rfft2", "irfft2", "fftfreq"}
+FFT_FUNCTIONS = {"rfft2", "irfft2"}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

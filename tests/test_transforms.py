@@ -12,17 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nstorus.besov import BesovParams, _block_masks, block_lp_norms, lp_norm
-from nstorus.errors import ResolutionMismatch
 from nstorus.fields import TWO_PI, SpectralField, _band_mask, _lattice, random_field
 from nstorus.nonlinear import (
     bilinear_b,
     bilinear_b_oracle,
+    bilinear_terms,
     dealias_band,
-    grid_states,
     product_grid,
     trilinear,
 )
-from nstorus.solver import SolverConfig, solve_x
+from nstorus.solver import SolverConfig, solve_direct, solve_x
 from nstorus.stokes import ForcingSpec
 
 PARAMS = BesovParams("4/3", "5/2", "3", "3")
@@ -58,6 +57,14 @@ def complex_bilinear_b(u, v, band=None):
     i1, i2 = k1a % m, k2a % m
     proj = TWO_PI * (wx[i1, i2] * (-k2a) + wy[i1, i2] * k1a) / kabs
     return SpectralField(n, np.where(_band_mask(n, band), proj, 0.0))
+
+
+def complex_gradient(u, m):
+    """The (4, m, m) stack [d1 u1, d2 u1, d1 u2, d2 u2] on the complex layout."""
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    ik = (1j * k[:, None], 1j * k[None, :])
+    coeffs = complex_coefficients(u, m)
+    return np.stack([np.fft.ifft2(d * c).real for c in coeffs for d in ik]) * (m * m)
 
 
 def complex_samples(u, m):
@@ -127,7 +134,8 @@ class TestProductGrid:
     def test_band_limited_default_is_n(self):
         assert product_grid(10, 10, 10) == 32
         assert SolverConfig(n=32).grid_m == 32
-        assert product_grid(16, 16, 16) == 50
+        assert product_grid(16, 16, 16) == 54  # 2 * 3^3, the first 3-smooth grid above 49
+        assert product_grid(1, 1, 10) == 32
 
     def test_full_band_energy_vanishes(self):
         n, band = 32, 16
@@ -137,34 +145,41 @@ class TestProductGrid:
             assert abs(trilinear(u, u, u, band=band)) <= 1e-12 * scale
 
     def test_shared_states_match_fresh_products(self):
+        # fields of different supports share one grid; each term is its own products' sum
         band = dealias_band(32)
         x = random_field(32, 1.0, 1, band=3)
         y = random_field(32, 1.0, 2, band=band)
-        gx, gy = grid_states((x, y), band)
-        assert gx.m == gy.m == 32
-        for a, b, ga, gb in ((x, y, gx, gy), (y, x, gy, gx), (x, x, gx, gx)):
-            assert rel_err(bilinear_b(ga, gb, band=band).c, bilinear_b(a, b, band=band).c) <= 1e-14
+        pairs = ((x, y), (y, x), (x, x))
+        got = bilinear_terms([[p] for p in pairs] + [[(x, y), (y, x)]], band=band)
+        for out, (a, b) in zip(got, pairs):
+            assert rel_err(out.c, bilinear_b(a, b, band=band).c) <= 1e-14
+        pair = (bilinear_b(x, y, band=band) + bilinear_b(y, x, band=band)).c
+        assert rel_err(got[3].c, pair) <= 1e-14
 
-    def test_states_on_too_small_a_grid_rejected(self):
-        u = random_field(32, 1.0, 1, band=10)
-        small = random_field(32, 1.0, 2, band=2)
-        (state,) = grid_states((small,), 10)
-        with pytest.raises(ResolutionMismatch):
-            bilinear_b(state, u)
-        with pytest.raises(ResolutionMismatch):
-            u.grid_state(20)
+    def test_single_mode_direct_solve_multiplies_on_grid_m(self, monkeypatch):
+        # the recorded grid_m is the grid of every product, whatever the data's support
+        cfg = SolverConfig(n=32, dt=0.01, t_final=0.03)
+        grids = []
+        original = np.fft.rfft2
+        monkeypatch.setattr(np.fft, "rfft2",
+                            lambda a, *args, **kw: grids.append(a.shape[-2:]) or
+                            original(a, *args, **kw))
+        solve_direct(SpectralField.from_modes(32, [((1, 0), 1.0)]), ForcingSpec.zero(32), cfg)
+        assert len(grids) == 4 * cfg.steps + 1
+        assert set(grids) == {(cfg.grid_m, cfg.grid_m)}
 
 
 def test_solve_x_builds_two_grid_states_per_stage(monkeypatch):
-    # the coupled (y, x) loop puts each of y and x on the grid once per stage, y's own
-    # product included
+    # the coupled (y, x) loop puts each of y and x on the grid once per stage, with one
+    # inverse transform each, y's own product included
     cfg = SolverConfig(n=16, dt=0.01, t_final=0.05)
     y0 = random_field(16, 2.0, 1, band=cfg.band, amplitude=1e-3)
     built = []
-    original = SpectralField.grid_state
-    monkeypatch.setattr(SpectralField, "grid_state",
-                        lambda self, m: built.append(m) or original(self, m))
+    original = SpectralField.to_grid
+    monkeypatch.setattr(SpectralField, "to_grid",
+                        lambda self, m=None: built.append(m) or original(self, m))
     solve_x(random_field(16, 2.0, 2, band=cfg.band), ForcingSpec.zero(16), y0,
             ForcingSpec.zero(16), PARAMS, cfg)
     stages = 4 * cfg.steps + 1  # four per step, then the final derivative sample
     assert len(built) == 2 * stages
+    assert set(built) == {cfg.grid_m}
