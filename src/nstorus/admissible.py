@@ -319,14 +319,6 @@ class RegionScan:
     def global_count(self) -> int:
         return int(np.maximum(self.global_hi - self.global_lo + 1, 0).sum())
 
-    def contains_local(self, x, y) -> bool:
-        d = self.denominator
-        i, j = as_fraction(x) * d, as_fraction(y) * d
-        if i.denominator != 1 or j.denominator != 1 or not 0 < i < 2 * d:
-            return False
-        row, j = int(i) - 1, int(j)
-        return bool(self.local_lo[row] <= j <= self.local_hi[row])
-
     def csv_lines(self):
         """Header, then one line per local point, in i-then-j order."""
         yield "x,y,local,global"

@@ -5,9 +5,10 @@ trapezoidal sum over the quadrature grid, a Besov norm is an l^q sum of
 weighted block L_p norms over the dyadic decomposition.  Besov and Sobolev
 norms of a resolution-N field always use the grid m = 2N.  A field's block
 L_p norms are computed once per (field, p) and kept on the field, so every
-(s, q) at that p reuses them: the blocks its support reaches go to the grid
-together, in one batched irfft2, and the blocks beyond it are exactly zero
-with no transform.  All parameter
+(s, q) at that p reuses them: each mode is written once, into its own
+block's plane of the support-width (m, s + 1) half spectra, the blocks the
+support s = |k|_inf reaches go to the grid together in one batched irfft2,
+and the blocks beyond it are exactly zero with no transform.  All parameter
 arithmetic (s, p, q, r and embedding conditions) is exact rational; only
 norm values are floating point.
 
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpectralField, _lattice
+from .fields import SpectralField, _lattice, _scatter, _support_scatter
 
 BLOCK0_CONVENTION = "0<|k|<=2"
 
@@ -87,22 +88,38 @@ def _block_lows(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _block_masks(n: int) -> np.ndarray:
-    """Boolean masks on the canonical layout, one per dyadic block, stacked."""
+def _block_labels(n: int) -> np.ndarray:
+    """The dyadic block of each canonical slot (lo_b < |k|^2 <= 4^(b+1)); -1 off it."""
     _, _, canon, kk, _, _, _ = _lattice(n)
-    masks = np.stack([canon & (kk > lo) & (kk <= 4 ** (b + 1))
-                      for b, lo in enumerate(_block_lows(n))])
-    masks.setflags(write=False)
-    return masks
+    labels = np.where(canon, np.searchsorted(_block_lows(n), kk) - 1, -1)
+    labels.setflags(write=False)
+    return labels
+
+
+@lru_cache(maxsize=None)
+def _block_scatter(n: int, s: int):
+    """Destinations of a support-s field's modes in its (reached, 2, 2n, s + 1) block spectra.
+
+    Returns (dest_d, src_d, dest_c, src_c) as fields._support_scatter does,
+    with each destination moved into the plane pair of its mode's block.
+    """
+    m = 2 * n
+    dest_d, src_d, dest_c, src_c = _support_scatter(n, m, s)
+    labels, pair = _block_labels(n).ravel(), 2 * m * (s + 1)
+    out = (dest_d + labels[src_d] * pair, src_d, dest_c + labels[src_c] * pair, src_c)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def lp_norm(samples: np.ndarray, p) -> float:
     """L_p norm on the torus: ((2 pi / M)^2 sum |u(node)|^p)^(1/p).
 
     samples is the (2, M, M) velocity stack that SpectralField.to_grid
-    returns; |u| is the pointwise Euclidean magnitude.
+    returns; |u| is the pointwise Euclidean magnitude.  samples is not
+    modified.
     """
-    return float(_lp_norms(samples, _p_float(p)))
+    return float(_lp_norms(samples.copy(), _p_float(p)))
 
 
 def _p_float(p) -> float:
@@ -114,10 +131,19 @@ def _p_float(p) -> float:
 
 
 def _lp_norms(samples: np.ndarray, pf: float) -> np.ndarray:
-    """L_p norms of velocity stacks (..., 2, M, M) over their grid axes."""
-    mag = np.sqrt(samples[..., 0, :, :] ** 2 + samples[..., 1, :, :] ** 2)
+    """L_p norms of velocity stacks (..., 2, M, M) over their grid axes.
+
+    The magnitudes and their powers are formed in place, so samples is
+    overwritten.
+    """
+    mag, u2 = samples[..., 0, :, :], samples[..., 1, :, :]
+    np.square(mag, out=mag)
+    np.square(u2, out=u2)
+    mag += u2
+    np.sqrt(mag, out=mag)
+    mag **= pf
     cell = (2.0 * np.pi / mag.shape[-1]) ** 2
-    return (cell * np.sum(mag**pf, axis=(-2, -1))) ** (1.0 / pf)
+    return (cell * np.sum(mag, axis=(-2, -1))) ** (1.0 / pf)
 
 
 def sobolev_norm(u: SpectralField, s, p) -> float:
@@ -133,8 +159,9 @@ def block_lp_norms(u: SpectralField, p) -> list[tuple[int, float]]:
     Computed once per (field, p) and kept on the immutable field, keyed by
     the float value of p, so every Besov norm of a field at one p shares one
     transform.  The blocks that the support s = |k|_inf reaches (lo_b <
-    2 s^2) go to the 2n x 2n grid in one batched irfft2; every other block
-    is exactly 0.0.
+    2 s^2) go to the 2n x 2n grid in one batched irfft2 of their
+    (reached, 2, 2n, s + 1) support-width half spectra, each mode written
+    once into its own block's planes; every other block is exactly 0.0.
     """
     pf = _p_float(p)
     try:
@@ -144,12 +171,12 @@ def block_lp_norms(u: SpectralField, p) -> list[tuple[int, float]]:
         object.__setattr__(u, "_block_lp", memo)
     if pf not in memo:
         lows = _block_lows(u.n)
-        reach = 2 * u.max_mode_inf**2
-        reached = sum(lo < reach for lo in lows)
+        s = u.max_mode_inf
+        reached = sum(lo < 2 * s * s for lo in lows)
         lps = [0.0] * len(lows)
         if reached:
             m = 2 * u.n
-            spec = u.full_coefficient_arrays(m, _block_masks(u.n)[:reached])
+            spec = _scatter(u.c, u.n, (reached, 2, m, s + 1), _block_scatter(u.n, s))
             values = np.fft.irfft2(spec, s=(m, m), norm="forward")
             lps[:reached] = _lp_norms(values, pf).tolist()
         memo[pf] = tuple(lps)

@@ -14,12 +14,15 @@ Basis normalization is fixed here once: the velocity Fourier coefficient
 (of exp(i k.xi)) belonging to u_k is u_k * k_perp / (2*pi*|k|), and every
 norm in the package depends on that convention.
 
-Every grid transform is a real FFT on the half spectrum (m, m//2 + 1).  One
-cached plan per (n, m) holds the scatter from the canonical lattice into
-that half spectrum and the gather back out of it; full_coefficient_arrays
-is the single scatter, and to_grid's (2, m, m) velocity stack, made by one
-irfft2, is a field's only grid layout.  Products and norms all start from
-it.
+Every grid transform is a real FFT.  One cached plan per (n, m) holds the
+scatter from the canonical lattice into the m x m half spectrum and the
+gather back out of it.  A field whose |k|_inf support s has 2s < m is
+scattered into the support-width half spectrum (m, s + 1), whose columns
+past s irfft2 pads with zeros itself; only a field reaching the Nyquist
+line needs the full (m, m//2 + 1).  full_coefficient_arrays is that
+scatter, and besov.block_lp_norms shares its _scatter.  to_grid's
+(2, m, m) velocity stack, made by one irfft2, is a field's only grid
+layout.  Products and norms all start from it.
 """
 
 from __future__ import annotations
@@ -129,6 +132,48 @@ def _plan(n: int, m: int) -> _Plan:
     for arr in vars(plan).values():
         arr.setflags(write=False)
     return plan
+
+
+@lru_cache(maxsize=None)
+def _support_scatter(n: int, m: int, s: int):
+    """The plan's entries with |k|_inf <= s, onto the (2, m, s + 1) stack (2s < m).
+
+    Returns (dest_d, src_d, dest_c, src_c): src_* are flat canonical slots
+    and dest_* the (2, E) flat destinations in the stack, one row per
+    velocity component, at row * (s + 1) + column of its plane.
+    """
+    plan = _plan(n, m)
+    mh, width = m // 2 + 1, s + 1
+    out = []
+    for dest, src, prefix in ((plan.dest_d, plan.src_d, plan.prefix_d),
+                              (plan.dest_c, plan.src_c, plan.prefix_c)):
+        e = prefix[s]
+        narrow = dest[:e] // mh * width + dest[:e] % mh
+        out += [narrow + np.array([[0], [m * width]]), src[:e]]
+    for arr in out:
+        arr.setflags(write=False)
+    return tuple(out)
+
+
+def _velocity_weights(c: np.ndarray, n: int) -> np.ndarray:
+    """The (2, K) velocity Fourier coefficients c * phi_i on the flat canonical layout."""
+    _, _, _, _, _, phi1, phi2 = _lattice(n)
+    return np.stack([c * phi1, c * phi2]).reshape(2, -1)
+
+
+def _scatter(c: np.ndarray, n: int, shape: tuple, scatter) -> np.ndarray:
+    """Zeros of shape holding the velocity weights of c at the destinations of scatter.
+
+    scatter is a (dest_d, src_d, dest_c, src_c) tuple of flat indices, as
+    _support_scatter returns, whose destinations are distinct.
+    """
+    dest_d, src_d, dest_c, src_c = scatter
+    w = _velocity_weights(c, n)
+    out = np.zeros(shape, dtype=np.complex128)
+    flat = out.reshape(-1)
+    flat[dest_d] = w[:, src_d]
+    flat[dest_c] = w[:, src_c].conj()
+    return out
 
 
 def canonical_shape(n: int) -> tuple[int, int]:
@@ -311,33 +356,25 @@ class SpectralField:
 
     # -- grid transforms -------------------------------------------------------
 
-    def full_coefficient_arrays(self, m: int, masks: np.ndarray | None = None) -> np.ndarray:
+    def full_coefficient_arrays(self, m: int) -> np.ndarray:
         """Velocity Fourier coefficients (of exp(i k.xi)) on the m x m real-FFT half spectrum.
 
-        Returns the (2, m, m//2 + 1) stack; with masks, a stack of weights on
-        the canonical layout, one such pair per mask.  Each slot holds the sum
-        of the coefficients that alias onto it, so irfft2 gives exact samples
-        on any grid.
+        With s = max_mode_inf and 2s < m, returns the support-width (2, m, s + 1)
+        stack: every column past s is zero, and irfft2(..., s=(m, m)) pads
+        those itself.  Otherwise returns the full (2, m, m//2 + 1) stack,
+        where each slot holds the sum of the coefficients that alias onto
+        it.  Either way irfft2 gives exact samples on any grid.
         """
-        n = self.n
-        _, _, _, _, _, phi1, phi2 = _lattice(n)
-        plan = _plan(n, m)
-        c = self.c if masks is None else self.c * masks
-        w = np.stack([c * phi1, c * phi2], axis=-3)
-        lead = w.shape[:-2]
-        w = w.reshape(lead + (-1,))
-        out = np.zeros(lead + (m * (m // 2 + 1),), dtype=np.complex128)
-        s = n // 2 if m > n else self.max_mode_inf
+        n, s = self.n, self.max_mode_inf
         if 2 * s < m:
-            ed, ec = plan.prefix_d[s], plan.prefix_c[s]
-            out[..., plan.dest_d[:ed]] = w[..., plan.src_d[:ed]]
-            out[..., plan.dest_c[:ec]] = w[..., plan.src_c[:ec]].conj()
-        else:
-            # modes on or past the Nyquist line share slots
-            flat, wf = out.reshape(-1, out.shape[-1]), w.reshape(-1, w.shape[-1])
-            np.add.at(flat, (slice(None), plan.dest_d), wf[:, plan.src_d])
-            np.add.at(flat, (slice(None), plan.dest_c), wf[:, plan.src_c].conj())
-        return out.reshape(lead + (m, m // 2 + 1))
+            return _scatter(self.c, n, (2, m, s + 1), _support_scatter(n, m, s))
+        # modes on or past the Nyquist line share slots
+        w = _velocity_weights(self.c, n)
+        plan = _plan(n, m)
+        out = np.zeros((2, m * (m // 2 + 1)), dtype=np.complex128)
+        np.add.at(out, (slice(None), plan.dest_d), w[:, plan.src_d])
+        np.add.at(out, (slice(None), plan.dest_c), w[:, plan.src_c].conj())
+        return out.reshape(2, m, m // 2 + 1)
 
     def to_grid(self, m: int | None = None) -> np.ndarray:
         """The real (2, m, m) stack [u1, u2] of samples on the uniform m x m grid.
@@ -350,19 +387,6 @@ class SpectralField:
         if m < self.n:
             raise ResolutionMismatch(f"grid size {m} < resolution {self.n}")
         return np.fft.irfft2(self.full_coefficient_arrays(m), s=(m, m), norm="forward")
-
-    # -- stream function --------------------------------------------------------
-
-    def stream_coefficients(self) -> dict[tuple[int, int], complex]:
-        """Scalar coefficients psi_k with u = perp-gradient of psi.
-
-        Convention: psi(xi) = sum_k psi_k exp(i k.xi) / (2 pi); the per-mode
-        relation is psi_k = -i u_k / |k| (equivalently u_k = i |k| psi_k).
-        """
-        out: dict[tuple[int, int], complex] = {}
-        for k1, k2, uk in self.active_modes():
-            out[(k1, k2)] = complex(-1j * uk / np.hypot(k1, k2))
-        return out
 
 
 _RANDOM_MASTER_N = 256

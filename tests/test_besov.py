@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from nstorus.besov import (
     BesovParams,
-    _block_masks,
+    _block_labels,
+    _block_lows,
     as_fraction,
     besov_from_block_lp,
     besov_norm,
@@ -65,6 +66,13 @@ class TestLpNorm:
         u = random_field(16, 1.0, seed=8)
         assert abs(lp_norm(u.to_grid(), 2) - u.l2_norm()) < 1e-10 * u.l2_norm()
 
+    @pytest.mark.parametrize("p", [2, Fraction(5, 2), 4])
+    def test_samples_are_left_unchanged(self, p):
+        samples = random_field(16, 1.0, seed=10).to_grid()
+        before = samples.copy()
+        lp_norm(samples, p)
+        assert np.array_equal(samples, before)
+
 
 class TestSobolevNorm:
     def test_zero(self):
@@ -85,10 +93,12 @@ class TestSobolevNorm:
 
 
 def _block_modes(n):
-    """The modes of each mask of _block_masks, both orientations, as sets."""
+    """The modes of each block label of _block_labels, both orientations, as sets."""
     k1a, k2a, _, _, _, _, _ = _lattice(n)
+    labels = _block_labels(n)
     blocks = []
-    for mask in _block_masks(n):
+    for b in range(len(_block_lows(n))):
+        mask = labels == b
         modes = set()
         for k1, k2 in zip(k1a[mask], k2a[mask]):
             modes |= {(int(k1), int(k2)), (int(-k1), int(-k2))}
@@ -257,10 +267,32 @@ def test_block_lp_reuse_matches_direct():
     assert abs(besov_from_block_lp(blocks, 0.5, 4) - direct) < 1e-14
 
 
+def block_masks(n):
+    """Boolean masks on the canonical layout, one per dyadic block, stacked."""
+    _, _, canon, kk, _, _, _ = _lattice(n)
+    return np.stack([canon & (kk > lo) & (kk <= 4 ** (b + 1))
+                     for b, lo in enumerate(_block_lows(n))])
+
+
 def all_blocks_lp_norms(u, p):
-    """Every dyadic block through one batched irfft2, with no memo and no skip."""
-    m = 2 * u.n
-    spec = u.full_coefficient_arrays(m, _block_masks(u.n))
+    """Every dyadic block through one batched irfft2, with no memo and no skip.
+
+    Each block's masked coefficients go to the full-width (m, m//2 + 1) half
+    spectrum: a mode k at (k1 mod m, k2), its partner at (-k1 mod m, -k2)
+    where that column lies in the half spectrum.
+    """
+    n, m = u.n, 2 * u.n
+    k1, k2, canon, _, _, phi1, phi2 = _lattice(n)
+    masks = block_masks(n)
+    spec = np.zeros((len(masks), 2, m, m // 2 + 1), dtype=np.complex128)
+    for sign in (1, -1):
+        rows, cols = (sign * k1) % m, (sign * k2) % m
+        slots = canon & (cols <= m // 2)
+        for planes, mask in zip(spec, masks):
+            c = u.c * mask
+            for plane, phi in zip(planes, (phi1, phi2)):
+                w = (c * phi)[slots]
+                plane[rows[slots], cols[slots]] = w if sign == 1 else w.conj()
     values = np.fft.irfft2(spec, s=(m, m), norm="forward")
     mag = np.sqrt(values[:, 0] ** 2 + values[:, 1] ** 2)
     pf = float(p)
@@ -342,6 +374,13 @@ class TestBlockNormMemo:
         got = block_lp_norms(u, 3)
         assert [shape[0] for shape in transforms] == [4]
         assert len(got) == 5 and got[4] == (4, 0.0)
+
+    @pytest.mark.parametrize("n,support,reached", [(32, 10, 4), (32, 16, 5), (16, 1, 1), (8, 3, 3)])
+    def test_one_transform_of_support_width_spectra(self, transforms, n, support, reached):
+        # the (reached, 2, 2n, s + 1) block spectra: irfft2 pads the columns past s
+        u = random_field(n, 1.0, seed=38, band=support)
+        block_lp_norms(u, 3)
+        assert transforms == [(reached, 2, 2 * n, support + 1)]
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -1,4 +1,4 @@
-"""Field representation, transforms, stream function, persistence."""
+"""Field representation, transforms, persistence."""
 
 import struct
 import tempfile
@@ -33,23 +33,6 @@ def project(values, n):
     k1, k2, _, _, kabs, _, _ = fields._lattice(n)
     wx, wy = np.fft.fft2(values)[:, k1 % m, k2 % m] / (m * m)
     return SpectralField(n, 2 * np.pi * (wx * (-k2) + wy * k1) / kabs)
-
-
-def scalar_modes_to_grid(coeffs, m):
-    """Evaluate a scalar spectrum sum_k c_k exp(i k.xi) / (2 pi) on the m x m grid."""
-    c = np.zeros((m, m), dtype=np.complex128)
-    for (k1, k2), val in coeffs.items():
-        c[k1 % m, k2 % m] += val / (2 * np.pi)
-    return np.fft.ifft2(c).real * (m * m)
-
-
-def perp_gradient(scalar):
-    """(-d/dxi2, d/dxi1) of a scalar grid sample, spectrally."""
-    k = np.fft.fftfreq(scalar.shape[0], d=1.0 / scalar.shape[0])
-    fh = np.fft.fft2(scalar)
-    d1 = np.fft.ifft2(1j * k[:, None] * fh).real
-    d2 = np.fft.ifft2(1j * k[None, :] * fh).real
-    return np.stack([-d2, d1])
 
 
 class TestFromModes:
@@ -142,30 +125,6 @@ class TestGridTransforms:
         div = g[0] + g[3]
         grad_scale = np.max(np.abs(g))
         assert np.max(np.abs(div)) <= 1e-12 * grad_scale
-
-
-class TestStreamFunction:
-    def test_zero_field(self):
-        assert SpectralField.zeros(8).stream_coefficients() == {}or \
-            all(v == 0 for v in SpectralField.zeros(8).stream_coefficients().values())
-
-    def test_single_mode_stream_is_sinusoid(self):
-        u = SpectralField.from_modes(8, [((2, 0), 1.0)])
-        psi = u.stream_coefficients()
-        grid = scalar_modes_to_grid(psi, 16)
-        xi = grid_nodes(16)
-        # psi = sin(2 xi1) / (2 pi), fixed by u = perp-grad psi
-        expected = np.sin(2 * xi)[:, None] / (2 * np.pi) * np.ones(16)[None, :]
-        assert np.max(np.abs(grid - expected)) < 1e-14
-        rec = perp_gradient(grid)
-        assert np.max(np.abs(rec - u.to_grid(16))) < 1e-13
-
-    def test_random_field_stream_recovers_velocity(self):
-        u = random_field(8, 1.0, seed=21)
-        psi = u.stream_coefficients()
-        rec = perp_gradient(scalar_modes_to_grid(psi, 16))
-        g = u.to_grid(16)
-        assert np.max(np.abs(rec - g)) <= 1e-12 * max(np.max(np.abs(g)), 1e-300)
 
 
 class TestRandomField:

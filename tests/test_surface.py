@@ -9,7 +9,7 @@ import nstorus
 SRC = Path(nstorus.__file__).parent
 
 # Defaulted parameters plus @dataclass fields with a default, over src/nstorus/*.py.
-SETTABLE_VALUES = 51
+SETTABLE_VALUES = 50
 
 # The real-FFT layer: every grid transform goes through these and nothing else.
 FFT_FUNCTIONS = {"rfft2", "irfft2"}

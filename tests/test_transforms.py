@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nstorus.besov import BesovParams, _block_masks, block_lp_norms, lp_norm
+from nstorus.besov import BesovParams, _block_labels, _block_lows, block_lp_norms, lp_norm
 from nstorus.fields import TWO_PI, SpectralField, _band_mask, _lattice, random_field
 from nstorus.nonlinear import (
     bilinear_b,
@@ -74,8 +74,9 @@ def complex_samples(u, m):
 
 def complex_block_lp_norms(u, p):
     out = []
-    for blk, mask in enumerate(_block_masks(u.n)):
-        piece = SpectralField(u.n, np.where(mask, u.c, 0.0))
+    labels = _block_labels(u.n)
+    for blk in range(len(_block_lows(u.n))):
+        piece = SpectralField(u.n, np.where(labels == blk, u.c, 0.0))
         samples = complex_samples(piece, 2 * u.n)
         out.append((blk, lp_norm(samples, p)))
     return out
@@ -106,6 +107,15 @@ class TestComplexReference:
         assert [b for b, _ in got] == [b for b, _ in ref]
         for (_, a), (_, b) in zip(got, ref):
             assert abs(a - b) <= 1e-14 * b
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (8, 16, 32)
+                                     for m in (n, n + 2, 3 * n // 2, 2 * n, 4 * n)])
+    def test_support_width_samples_equal_full_width(self, n, m):
+        # support n/2 at m = n puts the outermost modes on the Nyquist line
+        for support in (n // 2, n // 4):
+            u = random_field(n, 0.5, 5, band=support)
+            full = np.stack(complex_coefficients(u, m))[..., : m // 2 + 1]
+            assert np.array_equal(u.to_grid(m), np.fft.irfft2(full, s=(m, m), norm="forward"))
 
     @pytest.mark.parametrize("m", [8, 9, 12, 16])
     def test_samples_match_on_any_grid_from_n(self, m):
