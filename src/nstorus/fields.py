@@ -22,7 +22,9 @@ past s irfft2 pads with zeros itself; only a field reaching the Nyquist
 line needs the full (m, m//2 + 1).  full_coefficient_arrays is that
 scatter, and besov.block_lp_norms shares its _scatter.  to_grid's
 (2, m, m) velocity stack, made by one irfft2, is a field's only grid
-layout.  Products and norms all start from it.
+layout.  Products and norms all start from it; grid_stack makes it for a
+whole stack of band-limited coefficient arrays with one scatter and one
+irfft2.
 """
 
 from __future__ import annotations
@@ -156,24 +158,43 @@ def _support_scatter(n: int, m: int, s: int):
 
 
 def _velocity_weights(c: np.ndarray, n: int) -> np.ndarray:
-    """The (2, K) velocity Fourier coefficients c * phi_i on the flat canonical layout."""
+    """The (..., 2, K) velocity Fourier coefficients c * phi_i on the flat canonical layout.
+
+    c is one (n/2 + 1, n + 1) coefficient array or a stack (..., n/2 + 1, n + 1) of them.
+    """
     _, _, _, _, _, phi1, phi2 = _lattice(n)
-    return np.stack([c * phi1, c * phi2]).reshape(2, -1)
+    return np.stack([c * phi1, c * phi2], axis=-3).reshape(*c.shape[:-2], 2, -1)
 
 
 def _scatter(c: np.ndarray, n: int, shape: tuple, scatter) -> np.ndarray:
     """Zeros of shape holding the velocity weights of c at the destinations of scatter.
 
     scatter is a (dest_d, src_d, dest_c, src_c) tuple of flat indices, as
-    _support_scatter returns, whose destinations are distinct.
+    _support_scatter returns, whose destinations are distinct.  For a stack
+    c of coefficient arrays, shape starts with the stack's leading axes and
+    each array goes to its own block of the rest.
     """
     dest_d, src_d, dest_c, src_c = scatter
     w = _velocity_weights(c, n)
     out = np.zeros(shape, dtype=np.complex128)
-    flat = out.reshape(-1)
-    flat[dest_d] = w[:, src_d]
-    flat[dest_c] = w[:, src_c].conj()
+    flat = out.reshape(*c.shape[:-2], -1)
+    flat[..., dest_d] = w[..., src_d]
+    flat[..., dest_c] = w[..., src_c].conj()
     return out
+
+
+def grid_stack(coeffs: np.ndarray, m: int, s: int) -> np.ndarray:
+    """The real (C, 2, m, m) velocity samples of a (C, n/2 + 1, n + 1) coefficient stack.
+
+    Every array of the stack has |k|_inf support at most s, with 2s < m.  One
+    scatter puts them all into (C, 2, m, s + 1) support-width half spectra
+    and one irfft2 takes them to the grid.  Row j equals
+    SpectralField(n, coeffs[j]).to_grid(m): the columns between its own
+    support and s hold zeros, which do not change the samples.
+    """
+    n = 2 * (coeffs.shape[-2] - 1)
+    spec = _scatter(coeffs, n, (len(coeffs), 2, m, s + 1), _support_scatter(n, m, s))
+    return np.fft.irfft2(spec, s=(m, m), norm="forward")
 
 
 def canonical_shape(n: int) -> tuple[int, int]:
@@ -207,6 +228,20 @@ class SpectralField:
         c.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
+
+    @classmethod
+    def _view(cls, n: int, c: np.ndarray) -> "SpectralField":
+        """The field over c itself: no copy and no re-mask.
+
+        c must be a complex (n/2 + 1, n + 1) array that is zero off the
+        canonical slots, as sums and lattice-weighted products of field
+        coefficients are; this array object is made read-only.
+        """
+        field = object.__new__(cls)
+        c.setflags(write=False)
+        object.__setattr__(field, "n", n)
+        object.__setattr__(field, "c", c)
+        return field
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralField is immutable")

@@ -33,6 +33,7 @@ from .fields import (
     _plan,
     canonical_shape,
     gamma_for_regularity,
+    grid_stack,
     random_field,
 )
 
@@ -42,6 +43,7 @@ def dealias_band(n: int) -> int:
     return n // 3
 
 
+@lru_cache(maxsize=None)
 def product_grid(s_u: int, s_v: int, band: int) -> int:
     """Smallest grid m = 2^a 3^b (a >= 1) on which B(u, v) is exact on |k|_inf <= band.
 
@@ -76,30 +78,22 @@ def _projection(n: int, m: int, band: int):
     return keep, gather, gsign, weights
 
 
-def bilinear_terms(terms, band: int) -> tuple:
-    """The sum of B(u, v) over the (u, v) pairs of each term, one field per term.
+def _project(grids, terms, n: int, m: int, band: int) -> np.ndarray:
+    """The (T, n/2 + 1, n + 1) sums of B over each term's (i, j) pairs of velocity samples.
 
     Since div u = 0, (u . grad) v = div(u (x) v), and the e_k coefficient
     of B(u, v) is
 
         (2 pi i / |k|) [k1 k2 (u2 v2 - u1 v1)^ + k1^2 (u1 v2)^ - k2^2 (u2 v1)^]_k,
 
-    so a product needs only velocity samples.  Each distinct field goes to
-    the product_grid of the largest support (at least n) once, and one rfft2
-    takes every term's three products to the band.
+    so a product needs only velocity samples.  grids[i] is the (2, m, m)
+    stack of field i; each term adds its pairs' three products in order,
+    and one rfft2 takes every term's three planes to the band.
     """
-    fields = {id(f): f for term in terms for pair in term for f in pair}
-    resolutions = {f.n for f in fields.values()}
-    if len(resolutions) > 1:
-        raise ResolutionMismatch(f"resolutions differ: {sorted(resolutions)}")
-    (n,) = resolutions
-    s = max(f.max_mode_inf for f in fields.values())
-    m = max(n, product_grid(s, s, band))
-    grid = {key: f.to_grid(m) for key, f in fields.items()}
     prods = np.zeros((len(terms), 3, m, m))
     for planes, term in zip(prods, terms):
-        for u, v in term:
-            (u1, u2), (v1, v2) = grid[id(u)], grid[id(v)]
+        for i, j in term:
+            (u1, u2), (v1, v2) = grids[i], grids[j]
             planes[0] += u2 * v2 - u1 * v1
             planes[1] += u1 * v2
             planes[2] += u2 * v1
@@ -110,12 +104,38 @@ def bilinear_terms(terms, band: int) -> tuple:
     values = (w * weights).sum(axis=-2)
     out = np.zeros((len(terms), (n // 2 + 1) * (n + 1)), dtype=np.complex128)
     out[:, keep] = values
-    return tuple(SpectralField(n, c.reshape(canonical_shape(n))) for c in out)
+    return out.reshape(len(terms), *canonical_shape(n))
+
+
+def bilinear_terms(stack: np.ndarray, terms, band: int) -> np.ndarray:
+    """B summed over each term's (i, j) pairs of rows of a band-limited coefficient stack.
+
+    stack is a (C, n/2 + 1, n + 1) array of fields confined to |k|_inf <=
+    band; the result is the (T, n/2 + 1, n + 1) stack of one sum per term.
+    Every row goes to product_grid(band, band, band) (at least n) with one
+    scatter and one irfft2 (fields.grid_stack), and one rfft2 takes every
+    term's products to the band.  Each sum equals the one-field products of
+    bilinear_b bit for bit.
+    """
+    n = 2 * (stack.shape[-2] - 1)
+    m = max(n, product_grid(band, band, band))
+    return _project(grid_stack(stack, m, band), terms, n, m, band)
 
 
 def bilinear_b(u: SpectralField, v: SpectralField, band: int | None = None) -> SpectralField:
-    """B(u, v) = P[(u . grad) v], dealiased to |k|_inf <= band: the one-term bilinear_terms."""
-    return bilinear_terms([[(u, v)]], dealias_band(u.n) if band is None else band)[0]
+    """B(u, v) = P[(u . grad) v], dealiased to |k|_inf <= band.
+
+    u and v go to the product_grid of their larger support (at least n),
+    once each, and one rfft2 projects their three products.
+    """
+    if u.n != v.n:
+        raise ResolutionMismatch(f"resolutions differ: {sorted((u.n, v.n))}")
+    n = u.n
+    band = dealias_band(n) if band is None else band
+    s = max(u.max_mode_inf, v.max_mode_inf)
+    m = max(n, product_grid(s, s, band))
+    grids = [u.to_grid(m)] if v is u else [u.to_grid(m), v.to_grid(m)]
+    return SpectralField._view(n, _project(grids, [[(0, len(grids) - 1)]], n, m, band)[0])
 
 
 ORACLE_CAP = 16  # largest resolution the O(N^4) oracle accepts

@@ -9,13 +9,20 @@ energy-balance integrands it evaluates there; the step sums those with
 the RK4 weights, which keeps the discrete energy identity accurate to the
 scheme's own order instead of a lower-order quadrature.
 
-Coupled equations are integrated as one system: the state is a tuple of
-fields, each advanced by the same operations it would see alone.  The
-rough and smooth parts of the split solve, and the velocity with its
-difference equations in the uniqueness probe, step together, and each
-stage asks bilinear_terms for all its products at once.  Every product is
-on SolverConfig.grid_m, so the velocity as the sum of the two parts agrees
-with a direct solve down to round-off.
+Coupled equations are integrated as one system: the state is one complex
+(C, n/2 + 1, n + 1) stack of coefficient arrays, and each RK4 stage is a
+few array expressions over it, in the order of operations of a one-field
+step, so every component is advanced bit for bit as it would be alone.
+The rough part y and the smooth part x of the split solve step together,
+and the uniqueness probe steps the velocity with its difference
+equations.  Each stage of such a system puts the whole stack on the grid
+with one irfft2 and takes every product group to the band with one rfft2
+(nonlinear.bilinear_terms).  The direct solve is the one-component
+system, multiplied by bilinear_b.  Every product is on
+SolverConfig.grid_m, so x + y agrees with the direct solve down to
+round-off.  States and derivatives are written into one preallocated
+block per integration, and the trajectories' samples are read-only
+SpectralField views of it.
 
 The inequality constants the continuous theory only proves to exist
 (norm_inv_d0phi, c1, c2, c3, the energy-lemma constant) are empirical
@@ -42,7 +49,7 @@ from .errors import (
     SmallnessBoundViolation,
     SmallnessViolation,
 )
-from .fields import SpectralField, gamma_for_regularity, random_field
+from .fields import SpectralField, canonical_shape, gamma_for_regularity, random_field
 from .nonlinear import (
     EnsembleSpec,
     bilinear_b,
@@ -60,6 +67,7 @@ from .stokes import (
     linear_regularity_report,
     semigroup,
     stokes_solve,
+    stokes_weights,
 )
 from .trajectory import Trajectory, cumulative_trapezoid, lr_time_norm
 
@@ -137,27 +145,22 @@ class Stepper:
         self.e_half = probe.radial_weights(lambda kk: np.exp(-0.5 * dt * kk.astype(float)))
         self.e_full = probe.radial_weights(lambda kk: np.exp(-dt * kk.astype(float)))
 
-    def step(self, state: tuple, t: float, nonlin):
-        """Advance a tuple of fields one step; returns (state_next, k1, increments).
+    def step(self, state: np.ndarray, t: float, nonlin):
+        """Advance a (C, n/2 + 1, n + 1) stack one step; returns (state_next, k1, increments).
 
-        nonlin(state, t) returns one (du, integrands) pair per component: the
-        non-Stokes right side at a stage state and a dict of accumulator
-        integrands there ({} when nothing is accumulated).  Each component
-        gets the operations of a one-field step.  increments holds, per
-        component, each integrand's (h/6)(w1 + 2 w2 + 2 w3 + w4).
+        nonlin(state, t) returns the non-Stokes right side at a stage state,
+        as a stack like it, and one dict of accumulator integrands per
+        component there ({} when nothing is accumulated).  The stage
+        combinations are array expressions over the whole stack, so each
+        component sees the operations of a one-field step.  increments
+        holds, per component, each integrand's (h/6)(w1 + 2 w2 + 2 w3 + w4).
         """
         h, e_half, e_full = self.dt, self.e_half, self.e_full
-        k1, w1 = zip(*nonlin(state, t))
-        s2 = [(u + (0.5 * h) * k).scale_radial(e_half) for u, k in zip(state, k1)]
-        k2, w2 = zip(*nonlin(s2, t + 0.5 * h))
-        s3 = [u.scale_radial(e_half) + (0.5 * h) * k for u, k in zip(state, k2)]
-        k3, w3 = zip(*nonlin(s3, t + 0.5 * h))
-        s4 = [u.scale_radial(e_full) + h * k.scale_radial(e_half) for u, k in zip(state, k3)]
-        k4, w4 = zip(*nonlin(s4, t + h))
-        state_next = tuple(
-            u.scale_radial(e_full)
-            + (h / 6.0) * (a.scale_radial(e_full) + 2.0 * (b + c).scale_radial(e_half) + d)
-            for u, a, b, c, d in zip(state, k1, k2, k3, k4))
+        k1, w1 = nonlin(state, t)
+        k2, w2 = nonlin((state + (0.5 * h) * k1) * e_half, t + 0.5 * h)
+        k3, w3 = nonlin(state * e_half + (0.5 * h) * k2, t + 0.5 * h)
+        k4, w4 = nonlin(state * e_full + h * (k3 * e_half), t + h)
+        state_next = state * e_full + (h / 6.0) * (k1 * e_full + 2.0 * ((k2 + k3) * e_half) + k4)
         increments = [{k: (h / 6.0) * (a[k] + 2.0 * b[k] + 2.0 * c[k] + d[k]) for k in a}
                       for a, b, c, d in zip(w1, w2, w3, w4)]
         return state_next, k1, increments
@@ -166,29 +169,39 @@ class Stepper:
 def integrate(state0: tuple, nonlin, t_final: float, steps: int, band: int) -> tuple:
     """Integrate u' + Au = du for each component from the band-truncated state.
 
-    nonlin(state, t) returns one (du, integrands) pair per component at each
-    stage, as Stepper.step describes.  Returns one Trajectory per component,
-    whose acc holds the running integral of each of its integrands at the
-    samples, starting from 0, in the order nonlin lists them.
+    The C components are held as one (C, n/2 + 1, n + 1) stack, and
+    nonlin(stack, t) is called once per stage, as Stepper.step describes.
+    States and derivatives u' = du - Au are written into one preallocated
+    (2, steps + 1, C, n/2 + 1, n + 1) block, read-only once it is full.
+    Returns one Trajectory per component, whose samples are read-only
+    SpectralField views of the block and whose acc holds the running
+    integral of each of its integrands at the samples, starting from 0, in
+    the order nonlin lists them.
     """
+    n = state0[0].n
     dt = t_final / steps
-    stepper = Stepper(state0[0].n, dt)
+    stepper = Stepper(n, dt)
+    kk = stokes_weights(n)
     times = np.linspace(0.0, t_final, steps + 1)
-    states = [tuple(u.truncated_inf(band) for u in state0)]
-    derivs, increments = [], []
+    block = np.empty((2, steps + 1, len(state0)) + canonical_shape(n), dtype=np.complex128)
+    states, derivs = block
+    states[0] = [u.truncated_inf(band).c for u in state0]
+    increments = []
     for i in range(steps):
-        t, state = float(times[i]), states[-1]
-        state_next, k1, inc = stepper.step(state, t, nonlin)
-        if any(u.has_nonfinite() for u in state_next):
+        t = float(times[i])
+        state_next, k1, inc = stepper.step(states[i], t, nonlin)
+        if not np.all(np.isfinite(state_next)):
             raise NonFiniteField(f"non-finite coefficient after step {i} (t = {t + dt:.6g})")
-        derivs.append([k - apply_a(u) for u, k in zip(state, k1)])
+        derivs[i] = k1 - states[i] * kk
         increments.append(inc)
-        states.append(state_next)
-    last = zip(states[-1], nonlin(states[-1], float(times[-1])))
-    derivs.append([du - apply_a(u) for u, (du, _) in last])
-    return tuple(Trajectory(times, list(f), derivs=list(d),
+        states[i + 1] = state_next
+    du, _ = nonlin(states[-1], float(times[-1]))
+    derivs[-1] = du - states[-1] * kk
+    block.setflags(write=False)
+    return tuple(Trajectory(times, [SpectralField._view(n, c) for c in states[:, j]],
+                            derivs=[SpectralField._view(n, d) for d in derivs[:, j]],
                             acc={k: np.cumsum([0.0] + [w[k] for w in inc]) for k in inc[0]})
-                 for f, d, inc in zip(zip(*states), zip(*derivs), zip(*increments)))
+                 for j, inc in enumerate(zip(*increments)))
 
 
 def _band_forcing(forcing, band: int):
@@ -206,19 +219,21 @@ def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
                  monitor: bool = False) -> Trajectory:
     """Direct integration of the full equation u' + Au + B(u,u) = f on the band.
 
-    With monitor, the energy-balance integrands ||u||_{H1}^2, <f, u> and
-    <B(u,u), u> are accumulated as visc, work_f and work_b.
+    The one-component system: each stage state is a view, multiplied by
+    bilinear_b.  With monitor, the energy-balance integrands ||u||_{H1}^2,
+    <f, u> and <B(u,u), u> are accumulated as visc, work_f and work_b.
     """
-    band = config.band
+    band, n = config.band, u0.n
     force = _band_forcing(forcing, band)
 
     def nonlin(state, t):
-        (u,) = state
+        u = SpectralField._view(n, state[0])
         f = force(t)
         b = bilinear_b(u, u, band=band)
+        du = (f.c - b.c)[None]
         if not monitor:
-            return ((f - b, {}),)
-        return ((f - b, {"visc": u.h_norm(1.0) ** 2, "work_f": f.inner(u), "work_b": b.inner(u)}),)
+            return du, ({},)
+        return du, ({"visc": u.h_norm(1.0) ** 2, "work_f": f.inner(u), "work_b": b.inner(u)},)
 
     (traj,) = integrate((u0,), nonlin, config.t_final, config.steps, band)
     return traj
@@ -441,20 +456,23 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y0: SpectralField, h: ForcingSpec
     B(x,y) + B(y,x) as one term, with the energy accumulators of x carried
     with the same RK4 weights.  Then the discrete energy identity is
     evaluated at every sample, with the a priori envelope implied by the
-    configured energy-lemma constant.
+    configured energy-lemma constant.  Each stage takes the three product
+    groups of the stacked (y, x) state from one bilinear_terms call.
     """
     _check_rough_data(y0, h, params, config)
-    band = config.band
+    band, n = config.band, x0.n
     force_h = _band_forcing(h, band)
     force_g = _band_forcing(g, band)
+    terms = [[(0, 0)], [(1, 1)], [(1, 0), (0, 1)]]
 
     def nonlin(state, t):
-        y, x = state
-        byy, bxx, bxy = bilinear_terms([[(y, y)], [(x, x)], [(x, y), (y, x)]], band=band)
+        byy, bxx, bxy = bilinear_terms(state, terms, band)
         f = force_g(t)
-        return ((force_h(t) - byy, {}),
-                (f - bxx - bxy,
-                 {"visc": x.h_norm(1.0) ** 2, "work_b": bxx.inner(y), "work_g": f.inner(x)}))
+        y, x = (SpectralField._view(n, a) for a in state)
+        du = np.stack([force_h(t).c - byy, f.c - bxx - bxy])
+        integrands = {"visc": x.h_norm(1.0) ** 2,
+                      "work_b": SpectralField._view(n, bxx).inner(y), "work_g": f.inner(x)}
+        return du, ({}, integrands)
 
     x0b = x0.truncated_inf(band)
     y_traj, traj = integrate((y0, x0b), nonlin, config.t_final, config.steps, band)
@@ -473,7 +491,10 @@ def build_energy_monitor(traj: Trajectory, y_traj: Trajectory, g: ForcingSpec,
     # a priori envelope: ||x(t)||^2 <= (||x0||^2 + 2 int ||g||^2_{H-1}) exp(2 c int ||y||^r)
     times = traj.times
     force = _band_forcing(g, config.band)
-    g_vals = [force(float(t)).h_norm(-1.0) ** 2 for t in times]
+    if g.is_steady():
+        g_vals = np.full(len(times), force(0.0).h_norm(-1.0) ** 2)
+    else:
+        g_vals = [force(float(t)).h_norm(-1.0) ** 2 for t in times]
     g_int = cumulative_trapezoid(times, g_vals)
     sigma = Fraction(2) / params.p + Fraction(2) / params.r - 1
     y_vals = y_traj.besov_series(sigma, params.p, params.r) ** float(params.r)
@@ -499,7 +520,12 @@ class SplitResult:
 
 def solve_split(u0: SpectralField, forcing: ForcingSpec, params,
                 config: SolverConfig) -> SplitResult:
-    """Split solve (rough + smooth parts) checked against a direct solve."""
+    """Split solve (rough + smooth parts) checked against a direct solve.
+
+    solve_x steps (y, x) as one stacked system; the direct solve of u, the
+    independent check of x + y, is its own one-component integration with
+    the one-field product bilinear_b.
+    """
     gate = check_global(params)
     if not gate.all_pass:
         raise InadmissibleParams(
@@ -545,14 +571,17 @@ def uniqueness_probe(u0: SpectralField, forcing, params, config: SolverConfig,
     band = config.band
     force = _band_forcing(forcing, band)
 
-    def nonlin(state, t):
-        u, *deltas = state
-        buu, *bud = bilinear_terms([[(u, u)]] + [[(u, d), (d, u)] for d in deltas], band=band)
-        return ((force(t) - buu, {}),) + tuple((-b, {}) for b in bud)
-
     state0 = (u0, SpectralField.zeros(u0.n))
     if delta0 is not None and not delta0.is_zero():
         state0 += (delta0,)
+    terms = [[(0, 0)]] + [[(0, j), (j, 0)] for j in range(1, len(state0))]
+
+    def nonlin(state, t):
+        b = bilinear_terms(state, terms, band)
+        du = -b
+        du[0] = force(t).c - b[0]
+        return du, ({},) * len(du)
+
     u_traj, zero_traj, *d_traj = integrate(state0, nonlin, config.t_final, steps, band)
     zero_exact = all(not np.any(f.c) for f in zero_traj.fields)
 

@@ -15,18 +15,28 @@ threshold and continuity ratio in the package is measured with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .besov import besov_value
 from .errors import NonFiniteField, ResolutionMismatch
-from .fields import SpectralField, random_field
+from .fields import SpectralField, _lattice, random_field
 from .trajectory import Trajectory, lr_time_norm
+
+
+@lru_cache(maxsize=None)
+def stokes_weights(n: int) -> np.ndarray:
+    """The read-only symbol of A at resolution n: |k|^2 on the canonical layout, 0 off it."""
+    _, _, canon, kk, _, _, _ = _lattice(n)
+    w = np.where(canon, kk, 0).astype(float)
+    w.setflags(write=False)
+    return w
 
 
 def apply_a(u: SpectralField) -> SpectralField:
     """Au: per-mode multiplication by |k|^2."""
-    return u.scale_radial(u.radial_weights(lambda kk: kk.astype(float)))
+    return u.scale_radial(stokes_weights(u.n))
 
 
 def semigroup(u: SpectralField, t: float) -> SpectralField:

@@ -15,7 +15,7 @@ from nstorus.errors import (
     SmallnessBoundViolation,
     SmallnessViolation,
 )
-from nstorus.fields import SpectralField, random_field
+from nstorus.fields import SpectralField, _lattice, random_field
 from nstorus.nonlinear import bilinear_b
 from nstorus.solver import (
     DEFAULT_CONSTANTS,
@@ -35,6 +35,7 @@ from nstorus.solver import (
     uniqueness_probe,
 )
 from nstorus.stokes import ForcingSpec, semigroup, stokes_solve
+from nstorus.trajectory import cumulative_trapezoid
 
 PARAMS = BesovParams("4/3", "5/2", "3", "3")
 
@@ -57,7 +58,7 @@ class TestStep:
         u0 = random_field(16, 1.0, 3, band=cfg.band)
 
         def no_nonlin(state, t):
-            return ((SpectralField.zeros(16), {}),)
+            return np.zeros_like(state), ({},)
 
         (traj,) = integrate((u0,), no_nonlin, cfg.t_final, cfg.steps, cfg.band)
         for t, u in zip(traj.times, traj.fields):
@@ -81,7 +82,10 @@ class TestStep:
             return fu - b, {"visc": u.h_norm(1.0) ** 2, "work_b": b.inner(u)}
 
         def rhs(*forcing):
-            return lambda state, t: tuple(direct(u, t, g) for u, g in zip(state, forcing))
+            def nonlin(state, t):
+                pairs = [direct(SpectralField(16, c), t, g) for c, g in zip(state, forcing)]
+                return np.stack([du.c for du, _ in pairs]), tuple(w for _, w in pairs)
+            return nonlin
 
         pair = integrate((u0, v0), rhs(*forcings), cfg.t_final, cfg.steps, band)
         alone = [integrate((w0,), rhs(g), cfg.t_final, cfg.steps, band)[0]
@@ -98,7 +102,7 @@ class TestStep:
         cfg = SolverConfig(n=8, dt=0.1, t_final=1.0)
 
         def nonlin(state, t):
-            return ((SpectralField.zeros(8), {"t": t}),)
+            return np.zeros_like(state), ({"t": t},)
 
         (traj,) = integrate((SpectralField.zeros(8),), nonlin, cfg.t_final, cfg.steps, cfg.band)
         h = cfg.t_final / cfg.steps
@@ -173,13 +177,13 @@ class TestStageWork:
         band = cfg.band
 
         def nonlin(state, t):
-            (u,) = state
+            u = SpectralField(16, state[0])
             du = f.field_at(t).truncated_inf(band) - bilinear_b(u, u, band=band)
-            return ((du, {
+            return du.c[None], ({
                 "visc": u.h_norm(1.0) ** 2,
                 "work_f": f.field_at(t).truncated_inf(band).inner(u),
                 "work_b": bilinear_b(u, u, band=band).inner(u),
-            }),)
+            },)
 
         (ref,) = integrate((u0,), nonlin, cfg.t_final, cfg.steps, band)
         assert all(np.array_equal(a.c, b.c) for a, b in zip(traj.fields, ref.fields))
@@ -358,6 +362,29 @@ class TestSolveYX:
             solve_x(SpectralField.zeros(16), ForcingSpec.zero(16),
                     random_field(16, 1.0, 2, amplitude=1.0), ForcingSpec.zero(16), PARAMS, cfg)
 
+    @pytest.mark.parametrize("law", ["constant", "sinusoid"])
+    def test_monitor_takes_a_steady_forcing_norm_once(self, monkeypatch, law):
+        cfg = SolverConfig(n=16, dt=0.01, t_final=0.1)
+        x0 = random_field(16, 2.0, 8, band=cfg.band, amplitude=0.3)
+        g = ForcingSpec.from_modes(16, [((1, 2), 0.05, law, 3.0, 0.2)])
+        res = solve_x(x0, g, SpectralField.zeros(16), ForcingSpec.zero(16), PARAMS, cfg)
+        h_norms = []
+        original = SpectralField.h_norm
+        monkeypatch.setattr(SpectralField, "h_norm",
+                            lambda self, s: h_norms.append(s) or original(self, s))
+        monitor = solver.build_energy_monitor(res.trajectory, res.y_trajectory, g,
+                                              x0.truncated_inf(cfg.band), PARAMS, cfg)
+        assert h_norms.count(-1.0) == (1 if law == "constant" else cfg.steps + 1)
+        # the envelope of the per-sample norms, as it was computed for every forcing
+        g_vals = [g.field_at(float(t)).truncated_inf(cfg.band).h_norm(-1.0) ** 2
+                  for t in res.trajectory.times]
+        y_int = cumulative_trapezoid(res.trajectory.times, np.zeros(cfg.steps + 1))
+        envelope = ((x0.truncated_inf(cfg.band).energy()
+                     + 2.0 * cumulative_trapezoid(res.trajectory.times, g_vals))
+                    * np.exp(2.0 * cfg.constants.c_energy * y_int))
+        assert np.array_equal(monitor.envelope, envelope)
+        assert np.array_equal(monitor.envelope, res.monitor.envelope)
+
     def test_x_reduces_to_stokes_for_shear_and_no_coupling(self):
         cfg = SolverConfig(n=16, dt=1e-3, t_final=0.2)
         x0 = SpectralField.from_modes(16, [((2, 0), 0.5)])
@@ -393,6 +420,63 @@ class TestSolveSplit:
 
         norms = regularity_norms_y(res.x_result.y_trajectory, PARAMS)
         assert all(np.isfinite(v) and v >= 0 for v in norms.values())
+
+    SPLIT_CFG = SolverConfig(n=16, dt=5e-3, t_final=0.05, split_eps=5e-2,
+                             smallness_y0=6e-2, smallness_h=6e-2)
+
+    @staticmethod
+    def _generic_data():
+        u0 = random_field(16, 2.2, 42, band=5, amplitude=0.4)
+        steady = ForcingSpec.from_random(16, 2.4, 43, amplitude=0.3, band=5)
+        waves = ForcingSpec.from_modes(16, [((1, 0), 0.1, "sinusoid", 3.0, 0.2),
+                                            ((5, 4), 0.01, "sinusoid", 5.0, 0.1)])
+        return u0, ForcingSpec(16, steady.components + waves.components)
+
+    def test_split_parts_and_direct_check_equal_their_own_solves(self, monkeypatch):
+        # k_cut > 1, with a sinusoid in both g and h: the (y, x) system equals solve_x and
+        # the direct check equals solve_direct, bit for bit
+        cfg = self.SPLIT_CFG
+        u0, f = self._generic_data()
+        split = split_data(u0, f, cfg.split_eps, PARAMS, cfg.t_final)
+        assert split.k_cut > 1 and not split.y0.is_zero()
+        for part in (split.g, split.h):
+            assert any(c.law == "sinusoid" and not c.profile.is_zero() for c in part.components)
+        direct = solve_direct(u0, f, cfg)
+        x_res = solve_x(split.x0, split.g, split.y0, split.h, PARAMS, cfg)
+        runs = []
+        original = solver.integrate
+        monkeypatch.setattr(solver, "integrate",
+                            lambda *args: runs.append(len(args[0])) or original(*args))
+        res = solve_split(u0, f, PARAMS, cfg)
+        assert runs == [2, 1]
+        for got, want in ((res.direct, direct), (res.x_result.trajectory, x_res.trajectory),
+                          (res.x_result.y_trajectory, x_res.y_trajectory)):
+            assert all(np.array_equal(a.c, b.c) for a, b in zip(got.fields, want.fields))
+            assert all(np.array_equal(a.c, b.c) for a, b in zip(got.derivs, want.derivs))
+            assert list(got.acc) == list(want.acc)
+            for name in want.acc:
+                assert np.array_equal(got.acc[name], want.acc[name])
+        assert np.array_equal(res.x_result.monitor.residuals, x_res.monitor.residuals)
+        assert np.array_equal(res.x_result.monitor.envelope, x_res.monitor.envelope)
+
+    def test_samples_are_read_only_views_of_one_block_per_integration(self):
+        cfg = self.SPLIT_CFG
+        res = solve_split(*self._generic_data(), PARAMS, cfg)
+        off_canonical = ~_lattice(16)[2]
+        pair = (res.x_result.y_trajectory, res.x_result.trajectory)
+        for trajs in (pair, (res.direct,)):
+            samples = [f for traj in trajs for f in traj.fields + traj.derivs]
+            assert len(samples) == len(trajs) * 2 * (cfg.steps + 1)
+            block = samples[0].c.base
+            assert block.shape == (2, cfg.steps + 1, len(trajs), 9, 17)
+            assert not block.flags.writeable
+            for f in samples:
+                assert np.shares_memory(f.c, block) and not f.c.flags.writeable
+                assert not np.any(f.c[off_canonical])
+            assert not np.shares_memory(samples[0].c, samples[1].c)
+            with pytest.raises(ValueError):
+                samples[-1].c[1, 1] = 1.0
+        assert not np.shares_memory(res.direct.fields[0].c, res.x_result.trajectory.fields[0].c)
 
     def test_global_gate_enforced(self):
         cfg = SolverConfig(n=16, dt=5e-3, t_final=0.1)

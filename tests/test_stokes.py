@@ -14,6 +14,7 @@ from nstorus.stokes import (
     linear_regularity_report,
     semigroup,
     stokes_solve,
+    stokes_weights,
 )
 
 PARAMS = BesovParams("4/3", "5/2", "3", "3")
@@ -23,6 +24,13 @@ class TestOperator:
     def test_eigenvalue_scaling(self):
         u = SpectralField.from_modes(8, [((2, 0), 1.0)])
         assert apply_a(u).coeff(2, 0) == 4.0
+
+    def test_one_cached_read_only_symbol_per_resolution(self):
+        u = random_field(16, 1.5, seed=5)
+        w = stokes_weights(16)
+        assert w is stokes_weights(16) and not w.flags.writeable
+        assert np.array_equal(w, u.radial_weights(lambda kk: kk.astype(float)))
+        assert np.array_equal(apply_a(u).c, u.c * w)
 
     def test_shifts_sobolev_scale(self):
         u = random_field(16, 1.5, seed=5)

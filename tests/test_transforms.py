@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nstorus.besov import BesovParams, _block_labels, _block_lows, block_lp_norms, lp_norm
-from nstorus.fields import TWO_PI, SpectralField, _band_mask, _lattice, random_field
+from nstorus.fields import TWO_PI, SpectralField, _band_mask, _lattice, grid_stack, random_field
 from nstorus.nonlinear import (
     bilinear_b,
     bilinear_b_oracle,
@@ -21,7 +21,7 @@ from nstorus.nonlinear import (
     product_grid,
     trilinear,
 )
-from nstorus.solver import SolverConfig, solve_direct, solve_x
+from nstorus.solver import SolverConfig, solve_direct, solve_split, solve_x
 from nstorus.stokes import ForcingSpec
 
 PARAMS = BesovParams("4/3", "5/2", "3", "3")
@@ -160,11 +160,27 @@ class TestProductGrid:
         x = random_field(32, 1.0, 1, band=3)
         y = random_field(32, 1.0, 2, band=band)
         pairs = ((x, y), (y, x), (x, x))
-        got = bilinear_terms([[p] for p in pairs] + [[(x, y), (y, x)]], band=band)
+        got = bilinear_terms(np.stack([x.c, y.c]),
+                             [[(0, 1)], [(1, 0)], [(0, 0)], [(0, 1), (1, 0)]], band=band)
         for out, (a, b) in zip(got, pairs):
-            assert rel_err(out.c, bilinear_b(a, b, band=band).c) <= 1e-14
+            assert rel_err(out, bilinear_b(a, b, band=band).c) <= 1e-14
+            assert np.array_equal(out, bilinear_b(a, b, band=band).c)
         pair = (bilinear_b(x, y, band=band) + bilinear_b(y, x, band=band)).c
-        assert rel_err(got[3].c, pair) <= 1e-14
+        assert rel_err(got[3], pair) <= 1e-14
+
+    @pytest.mark.parametrize("n", [10, 16, 32])
+    def test_stacked_grid_is_each_fields_own_grid(self, n):
+        # one scatter and one irfft2 at the common width band + 1 give each row's own
+        # to_grid, whatever the row's support: here 1 (x), the band (y, u) and 0
+        cfg = SolverConfig(n=n)
+        u = random_field(n, 2.2, 7, band=cfg.band, amplitude=0.4)
+        x = u.low_pass(1)
+        rows = (u - x, x, u, SpectralField.zeros(n))
+        assert [f.max_mode_inf for f in rows] == [cfg.band, 1, cfg.band, 0]
+        grids = grid_stack(np.stack([f.c for f in rows]), cfg.grid_m, cfg.band)
+        assert grids.shape == (4, 2, cfg.grid_m, cfg.grid_m)
+        for grid, field in zip(grids, rows):
+            assert np.array_equal(grid, field.to_grid(cfg.grid_m))
 
     def test_single_mode_direct_solve_multiplies_on_grid_m(self, monkeypatch):
         # the recorded grid_m is the grid of every product, whatever the data's support
@@ -179,17 +195,42 @@ class TestProductGrid:
         assert set(grids) == {(cfg.grid_m, cfg.grid_m)}
 
 
-def test_solve_x_builds_two_grid_states_per_stage(monkeypatch):
-    # the coupled (y, x) loop puts each of y and x on the grid once per stage, with one
-    # inverse transform each, y's own product included
+def _logged_transforms(monkeypatch):
+    """Record (input shape, s) of every irfft2 and the input shape of every rfft2."""
+    inverse, forward = [], []
+    irfft2, rfft2 = np.fft.irfft2, np.fft.rfft2
+    monkeypatch.setattr(np.fft, "irfft2", lambda a, s=None, **kw:
+                        inverse.append((a.shape, s)) or irfft2(a, s=s, **kw))
+    monkeypatch.setattr(np.fft, "rfft2", lambda a, **kw: forward.append(a.shape) or rfft2(a, **kw))
+    return inverse, forward
+
+
+def test_solve_x_makes_one_inverse_and_one_forward_transform_per_stage(monkeypatch):
+    # the coupled (y, x) loop puts the stacked pair on the grid with one irfft2 and takes
+    # its three product groups, y's own product included, to the band with one rfft2
     cfg = SolverConfig(n=16, dt=0.01, t_final=0.05)
+    m, width = cfg.grid_m, cfg.band + 1
     y0 = random_field(16, 2.0, 1, band=cfg.band, amplitude=1e-3)
-    built = []
-    original = SpectralField.to_grid
-    monkeypatch.setattr(SpectralField, "to_grid",
-                        lambda self, m=None: built.append(m) or original(self, m))
+    inverse, forward = _logged_transforms(monkeypatch)
     solve_x(random_field(16, 2.0, 2, band=cfg.band), ForcingSpec.zero(16), y0,
             ForcingSpec.zero(16), PARAMS, cfg)
     stages = 4 * cfg.steps + 1  # four per step, then the final derivative sample
-    assert len(built) == 2 * stages
-    assert set(built) == {cfg.grid_m}
+    # the other inverse transforms are the Besov norms', on the 2n x 2n grid
+    assert [shape for shape, s in inverse if s == (m, m)] == [(2, 2, m, width)] * stages
+    assert forward == [(3, 3, m, m)] * stages
+
+
+def test_solve_split_steps_the_pair_stacked_and_the_direct_check_alone(monkeypatch):
+    # per stage, one irfft2 of the (y, x) stack and one rfft2 of its three product groups;
+    # then the direct solve's own stages, each one to_grid of u and one rfft2 in bilinear_b
+    cfg = SolverConfig(n=16, dt=0.01, t_final=0.05, split_eps=5e-2, smallness_y0=6e-2,
+                       smallness_h=6e-2)
+    m, width = cfg.grid_m, cfg.band + 1
+    u0 = random_field(16, 2.2, 42, band=cfg.band, amplitude=0.4)
+    f = ForcingSpec.from_random(16, 2.4, 43, amplitude=0.3, band=cfg.band)
+    inverse, forward = _logged_transforms(monkeypatch)
+    solve_split(u0, f, PARAMS, cfg)
+    stages = 4 * cfg.steps + 1
+    assert ([shape for shape, s in inverse if s == (m, m)]
+            == [(2, 2, m, width)] * stages + [(2, m, width)] * stages)
+    assert forward == [(3, 3, m, m)] * stages + [(1, 3, m, m)] * stages
