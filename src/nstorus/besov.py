@@ -7,10 +7,11 @@ norms of a resolution-N field always use the grid m = 2N.  A field's block
 L_p norms are computed once per (field, p) and kept on the field, so every
 (s, q) at that p reuses them: each mode is written once, into its own
 block's plane of the support-width (m, s + 1) half spectra, the blocks the
-support s = |k|_inf reaches go to the grid together in one batched irfft2,
-and the blocks beyond it are exactly zero with no transform.  All parameter
-arithmetic (s, p, q, r and embedding conditions) is exact rational; only
-norm values are floating point.
+support s = |k|_inf reaches go to the grid together in one batched inverse
+transform, in place on work buffers kept per thread, and the blocks beyond
+it are exactly zero with no transform.  All parameter arithmetic (s, p, q,
+r and embedding conditions) is exact rational; only norm values are
+floating point.
 
 Dyadic convention: block m > 0 holds the modes with 2^m < |k| <= 2^(m+1);
 block 0 is widened to 0 < |k| <= 2 so that |k| = 1 is covered and the
@@ -20,6 +21,8 @@ blocks partition every active mode.  Every NormReport records this.
 from __future__ import annotations
 
 import json
+import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -112,6 +115,25 @@ def _block_scatter(n: int, s: int):
     return out
 
 
+# This thread's flat block-norm work buffers: "spec" (complex spectra) and
+# "samples" (float64 grid values).  Each grows only to the largest call.
+_work = threading.local()
+
+
+def _work_view(name: str, shape: tuple, dtype) -> np.ndarray:
+    """A C-contiguous prefix view of this thread's work buffer name, shaped shape.
+
+    The buffer is replaced by one of exactly the needed size when it holds
+    less, and reused as it is otherwise.  Its contents are undefined.
+    """
+    size = math.prod(shape)
+    buf = getattr(_work, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=dtype)
+        setattr(_work, name, buf)
+    return buf[:size].reshape(shape)
+
+
 def lp_norm(samples: np.ndarray, p) -> float:
     """L_p norm on the torus: ((2 pi / M)^2 sum |u(node)|^p)^(1/p).
 
@@ -159,9 +181,14 @@ def block_lp_norms(u: SpectralField, p) -> list[tuple[int, float]]:
     Computed once per (field, p) and kept on the immutable field, keyed by
     the float value of p, so every Besov norm of a field at one p shares one
     transform.  The blocks that the support s = |k|_inf reaches (lo_b <
-    2 s^2) go to the 2n x 2n grid in one batched irfft2 of their
-    (reached, 2, 2n, s + 1) support-width half spectra, each mode written
-    once into its own block's planes; every other block is exactly 0.0.
+    2 s^2) go to the 2n x 2n grid together: each mode is written once into
+    its own block's planes of the (reached, 2, 2n, s + 1) support-width
+    half spectra, an in-place ifft down the columns and an irfft along the
+    rows (padding the columns past s) give the samples, and the magnitudes
+    and their powers are formed in place.  Spectra and samples are views of
+    this thread's reused work buffers, so a warm call allocates nothing of
+    block size, and only floats are returned.  Every other block is exactly
+    0.0.
     """
     pf = _p_float(p)
     try:
@@ -176,9 +203,13 @@ def block_lp_norms(u: SpectralField, p) -> list[tuple[int, float]]:
         lps = [0.0] * len(lows)
         if reached:
             m = 2 * u.n
-            spec = _scatter(u.c, u.n, (reached, 2, m, s + 1), _block_scatter(u.n, s))
-            values = np.fft.irfft2(spec, s=(m, m), norm="forward")
-            lps[:reached] = _lp_norms(values, pf).tolist()
+            spec = _work_view("spec", (reached, 2, m, s + 1), np.complex128)
+            samples = _work_view("samples", (reached, 2, m, m), np.float64)
+            spec.fill(0)
+            _scatter(u.c, u.n, spec, _block_scatter(u.n, s))
+            np.fft.ifft(spec, n=m, axis=-2, norm="forward", out=spec)
+            np.fft.irfft(spec, n=m, axis=-1, norm="forward", out=samples)
+            lps[:reached] = _lp_norms(samples, pf).tolist()
         memo[pf] = tuple(lps)
     return list(enumerate(memo[pf]))
 

@@ -33,6 +33,10 @@ class SmallnessBoundViolation(NstorusError):
     """No positive local time satisfies the smallness bound at the configured constants."""
 
 
+class UnboundedConstant(NstorusError):
+    """No probe of the empirical estimator gave a constant a positive bound."""
+
+
 class NonConvergent(NstorusError):
     """Picard iteration exhausted its budget without meeting tolerance."""
 

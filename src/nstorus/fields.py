@@ -20,7 +20,8 @@ gather back out of it.  A field whose |k|_inf support s has 2s < m is
 scattered into the support-width half spectrum (m, s + 1), whose columns
 past s irfft2 pads with zeros itself; only a field reaching the Nyquist
 line needs the full (m, m//2 + 1).  full_coefficient_arrays is that
-scatter, and besov.block_lp_norms shares its _scatter.  to_grid's
+scatter; _scatter writes into an array its caller supplies, which
+besov.block_lp_norms takes from its reused work buffers.  to_grid's
 (2, m, m) velocity stack, made by one irfft2, is a field's only grid
 layout.  Products and norms all start from it; grid_stack makes it for a
 whole stack of band-limited coefficient arrays with one scatter and one
@@ -166,17 +167,17 @@ def _velocity_weights(c: np.ndarray, n: int) -> np.ndarray:
     return np.stack([c * phi1, c * phi2], axis=-3).reshape(*c.shape[:-2], 2, -1)
 
 
-def _scatter(c: np.ndarray, n: int, shape: tuple, scatter) -> np.ndarray:
-    """Zeros of shape holding the velocity weights of c at the destinations of scatter.
+def _scatter(c: np.ndarray, n: int, out: np.ndarray, scatter) -> np.ndarray:
+    """Write the velocity weights of c into out at the destinations of scatter; return out.
 
     scatter is a (dest_d, src_d, dest_c, src_c) tuple of flat indices, as
-    _support_scatter returns, whose destinations are distinct.  For a stack
-    c of coefficient arrays, shape starts with the stack's leading axes and
-    each array goes to its own block of the rest.
+    _support_scatter returns, whose destinations are distinct.  out is a
+    C-contiguous complex array, zero wherever scatter does not write.  For
+    a stack c of coefficient arrays, out starts with the stack's leading
+    axes and each array goes to its own block of the rest.
     """
     dest_d, src_d, dest_c, src_c = scatter
     w = _velocity_weights(c, n)
-    out = np.zeros(shape, dtype=np.complex128)
     flat = out.reshape(*c.shape[:-2], -1)
     flat[..., dest_d] = w[..., src_d]
     flat[..., dest_c] = w[..., src_c].conj()
@@ -193,7 +194,8 @@ def grid_stack(coeffs: np.ndarray, m: int, s: int) -> np.ndarray:
     support and s hold zeros, which do not change the samples.
     """
     n = 2 * (coeffs.shape[-2] - 1)
-    spec = _scatter(coeffs, n, (len(coeffs), 2, m, s + 1), _support_scatter(n, m, s))
+    spec = np.zeros((len(coeffs), 2, m, s + 1), dtype=np.complex128)
+    _scatter(coeffs, n, spec, _support_scatter(n, m, s))
     return np.fft.irfft2(spec, s=(m, m), norm="forward")
 
 
@@ -402,7 +404,8 @@ class SpectralField:
         """
         n, s = self.n, self.max_mode_inf
         if 2 * s < m:
-            return _scatter(self.c, n, (2, m, s + 1), _support_scatter(n, m, s))
+            out = np.zeros((2, m, s + 1), dtype=np.complex128)
+            return _scatter(self.c, n, out, _support_scatter(n, m, s))
         # modes on or past the Nyquist line share slots
         w = _velocity_weights(self.c, n)
         plan = _plan(n, m)

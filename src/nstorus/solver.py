@@ -48,6 +48,7 @@ from .errors import (
     NonFiniteField,
     SmallnessBoundViolation,
     SmallnessViolation,
+    UnboundedConstant,
 )
 from .fields import SpectralField, canonical_shape, gamma_for_regularity, random_field
 from .nonlinear import (
@@ -622,7 +623,9 @@ def estimate_empirical_constants(params, n: int, count: int, seed: int) -> Empir
     Probes are linear solves on [0, 1] in 32 steps with power-law random
     data; the measured ratios realize the continuity, product-estimate and
     contraction bounds whose constants the continuous theory leaves
-    unquantified.
+    unquantified.  Raises UnboundedConstant, naming each constant that no
+    probe bounded (every ratio 0) with n, count and seed, rather than
+    return a constant of 0.
     """
     t_final, steps = 1.0, 32
     band = dealias_band(n)
@@ -682,7 +685,7 @@ def estimate_empirical_constants(params, n: int, count: int, seed: int) -> Empir
         0.25, params.p, params.r,
         EnsembleSpec(count=count, seed=seed, resolutions=(n,)),
     )
-    return EmpiricalConstants(
+    constants = EmpiricalConstants(
         norm_inv_d0phi=2.0 * ninv,
         c1=2.0 * c1,
         c2=2.0 * c2,
@@ -690,3 +693,10 @@ def estimate_empirical_constants(params, n: int, count: int, seed: int) -> Empir
         c_energy=2.0 * energy.max_ratio,
         c_ladyzhenskaya=2.0 * lad,
     )
+    # every ratio is >= 0 and each maximum starts at 0, so 0 means no probe bounded it
+    unbounded = [name for name, value in constants.as_dict().items() if value <= 0.0]
+    if unbounded:
+        raise UnboundedConstant(
+            f"no probe bounded {', '.join(unbounded)} (n={n}, count={count}, seed={seed})"
+        )
+    return constants

@@ -1,6 +1,9 @@
 """Norm toolkit: L_p quadrature, dyadic blocks, embeddings, interpolation."""
 
 import json
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -300,18 +303,27 @@ def all_blocks_lp_norms(u, p):
     return [(blk, float(v)) for blk, v in enumerate(lp)]
 
 
+def _recording(fn, shapes):
+    def wrapper(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.fixture
 def transforms(monkeypatch):
-    """The input shape of each irfft2 call made while the test runs."""
-    calls = []
-    irfft2 = np.fft.irfft2
+    """The input shape of each block-norm transform made while the test runs.
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return irfft2(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft2", counting)
-    return calls
+    A block-norm transform is an ifft down the columns of the spectra
+    followed by an irfft along their rows; each shape recorded is one such
+    pair, checked to be paired when the test ends.
+    """
+    passes = {"ifft": [], "irfft": []}
+    for name, shapes in passes.items():
+        monkeypatch.setattr(np.fft, name, _recording(getattr(np.fft, name), shapes))
+    yield passes["irfft"]
+    assert passes["ifft"] == passes["irfft"]
 
 
 class TestBlockNormMemo:
@@ -377,10 +389,68 @@ class TestBlockNormMemo:
 
     @pytest.mark.parametrize("n,support,reached", [(32, 10, 4), (32, 16, 5), (16, 1, 1), (8, 3, 3)])
     def test_one_transform_of_support_width_spectra(self, transforms, n, support, reached):
-        # the (reached, 2, 2n, s + 1) block spectra: irfft2 pads the columns past s
+        # the (reached, 2, 2n, s + 1) block spectra: irfft pads the columns past s
         u = random_field(n, 1.0, seed=38, band=support)
         block_lp_norms(u, 3)
         assert transforms == [(reached, 2, 2 * n, support + 1)]
+
+
+def _in_fresh_thread(fn):
+    """fn() run in a new thread, whose block-norm buffers start empty as in a fresh process."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+class TestBlockNormBuffers:
+    def test_warm_call_allocates_no_block(self):
+        # a fresh (4, 2, 64, 64) float64 samples array is 262,144 bytes and the
+        # (4, 2, 64, 11) complex spectra 90,112: neither may be allocated again
+        block_lp_norms(random_field(32, 1.0, seed=40, band=10), 3)
+        u = random_field(32, 1.0, seed=41, band=10)
+        assert u.max_mode_inf == 10
+        tracemalloc.start()
+        try:
+            block_lp_norms(u, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 * 64 * 11 * 16
+
+    def test_threads_give_the_serial_norms(self):
+        # more threads than cores, switching often: a buffer shared between
+        # threads would mix one field's samples into another's norms
+        fields = [random_field(32, 1.0, seed=50 + i, band=6 + 2 * i) for i in range(4)]
+        serial = [block_lp_norms(SpectralField(32, u.c), 3) for u in fields]
+        results = [[] for _ in fields]
+
+        def work(u, out):
+            for _ in range(25):
+                out.append(block_lp_norms(SpectralField(32, u.c), 3))
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(fields, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[expected] * 25 for expected in serial]
+
+    def test_growing_sizes_give_fresh_buffer_norms(self):
+        # each call reuses, or grows past, the buffers the calls before it left
+        for n in (8, 16, 32, 64):
+            for support in range(1, n // 2 + 1):
+                u = random_field(n, 1.0, seed=60, band=support)
+                twin = SpectralField(n, u.c)
+                assert block_lp_norms(u, 3) == _in_fresh_thread(lambda: block_lp_norms(twin, 3))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

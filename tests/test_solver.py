@@ -14,6 +14,7 @@ from nstorus.errors import (
     NonFiniteField,
     SmallnessBoundViolation,
     SmallnessViolation,
+    UnboundedConstant,
 )
 from nstorus.fields import SpectralField, _lattice, random_field
 from nstorus.nonlinear import bilinear_b
@@ -536,6 +537,13 @@ class TestEstimator:
             "c_energy": 5.410027198080894e-06,
             "c_ladyzhenskaya": 0.19937202379916305,
         }
+
+    def test_constant_no_probe_bounded_is_named(self):
+        # one probe whose every energy-lemma scale leaves the trilinear term
+        # below the viscous term: c_energy would be 0.0
+        with pytest.raises(UnboundedConstant,
+                           match=r"^no probe bounded c_energy \(n=32, count=1, seed=275906\)$"):
+            estimate_empirical_constants(PARAMS, n=32, count=1, seed=275906)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="ensemble count must be >= 1, got 0"):

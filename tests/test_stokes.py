@@ -150,17 +150,23 @@ class TestStokesSolve:
         u0 = random_field(16, 2.0, seed=14)
         f = ForcingSpec.from_random(16, 2.0, seed=15, amplitude=0.5)
         traj = stokes_solve(u0, f, 1.0, 8)
-        calls = []
-        irfft2 = np.fft.irfft2
+        # one block-norm transform is an ifft pass and an irfft pass
+        calls = {"ifft": 0, "irfft": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return irfft2(*args, **kwargs)
+        def counting(name):
+            fn = getattr(np.fft, name)
 
-        monkeypatch.setattr(np.fft, "irfft2", counting)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counting(name))
         rep = linear_regularity_report(traj, f, u0, PARAMS)
         monkeypatch.undo()
-        assert len(calls) == 20
+        assert calls == {"ifft": 20, "irfft": 20}
         assert rep == LinearRegularityReport(
             w_norm=1.82115286773662,
             data_norm=2.292626964881605,

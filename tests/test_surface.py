@@ -11,8 +11,10 @@ SRC = Path(nstorus.__file__).parent
 # Defaulted parameters plus @dataclass fields with a default, over src/nstorus/*.py.
 SETTABLE_VALUES = 50
 
-# The real-FFT layer: every grid transform goes through these and nothing else.
-FFT_FUNCTIONS = {"rfft2", "irfft2"}
+# The FFT layer: every grid transform goes through these and nothing else.
+# Block L_p norms run irfft2's two passes (ifft, irfft) themselves, since
+# irfft2 ignores out= and they write into reused buffers.
+FFT_FUNCTIONS = {"rfft2", "irfft2", "ifft", "irfft"}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
