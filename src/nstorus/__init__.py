@@ -13,8 +13,6 @@ from .besov import (
     BesovParams,
     besov_norm,
     besov_value,
-    check_embedding,
-    interpolation_ratio,
     lp_norm,
     sobolev_norm,
 )
@@ -28,8 +26,6 @@ from .nonlinear import (
     bilinear_b,
     bilinear_b_oracle,
     trilinear,
-    verify_classical_trilinear,
-    verify_energy_lemma,
     verify_estimate_chain,
 )
 from .scenario import Scenario
@@ -60,11 +56,9 @@ __all__ = [
     "besov_value",
     "bilinear_b",
     "bilinear_b_oracle",
-    "check_embedding",
     "check_global",
     "check_local",
     "derive_exponents",
-    "interpolation_ratio",
     "load_snapshot",
     "lp_norm",
     "random_field",
@@ -82,7 +76,5 @@ __all__ = [
     "stokes_solve",
     "trilinear",
     "uniqueness_probe",
-    "verify_classical_trilinear",
-    "verify_energy_lemma",
     "verify_estimate_chain",
 ]

@@ -143,15 +143,14 @@ def check_global(params: BesovParams) -> AdmissibilityReport:
 
 def _report(params: BesovParams, gate: str, checks: tuple) -> AdmissibilityReport:
     """Gate report; the symmetric exponents are derived when every check passes."""
-    exps = _exponents(params, None) if all(c.verdict == PASS for c in checks) else None
+    exps = _exponents(params) if all(c.verdict == PASS for c in checks) else None
     return AdmissibilityReport(params, gate, checks, params.initial_regularity, exps)
 
 
-def derive_exponents(params: BesovParams, pair: tuple | None = None) -> Exponents:
+def derive_exponents(params: BesovParams) -> Exponents:
     """Exponents (a, b, alpha, beta, epsilon) for the bilinear estimate chain.
 
-    Default is the symmetric choice a = b = 1/p + 1/2 - s/2; an explicit
-    unequal pair (a, b) may be supplied instead.  The defining system
+    The choice is symmetric, a = b = 1/p + 1/2 - s/2.  The defining system
 
         2 - 2/r - s < a, b          (lower bound)
         a, b < 2/p                  (upper bound)
@@ -168,17 +167,13 @@ def derive_exponents(params: BesovParams, pair: tuple | None = None) -> Exponent
         raise InadmissibleParams(
             f"local gate not satisfied: failed={rep.failed_ids} boundary={rep.boundary_ids}"
         )
-    return rep.exponents if pair is None else _exponents(params, pair)
+    return rep.exponents
 
 
-def _exponents(params: BesovParams, pair: tuple | None) -> Exponents:
+def _exponents(params: BesovParams) -> Exponents:
     """The exponent system of derive_exponents, with no gate check."""
     s, p, r = params.s, params.p, params.r
-    if pair is None:
-        a = Fraction(1) / p + Fraction(1, 2) - s / 2
-        b = a
-    else:
-        a, b = as_fraction(pair[0]), as_fraction(pair[1])
+    a = b = Fraction(1) / p + Fraction(1, 2) - s / 2
     lower = 2 - Fraction(2) / r - s
     upper = Fraction(2) / p
     sum_rule = Fraction(2) / p + 1 - s

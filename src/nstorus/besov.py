@@ -10,8 +10,7 @@ block's plane of the support-width (m, s + 1) half spectra, the blocks the
 support s = |k|_inf reaches go to the grid together in one batched inverse
 transform, in place on work buffers kept per thread, and the blocks beyond
 it are exactly zero with no transform.  All parameter arithmetic (s, p, q,
-r and embedding conditions) is exact rational; only norm values are
-floating point.
+r) is exact rational; only norm values are floating point.
 
 Dyadic convention: block m > 0 holds the modes with 2^m < |k| <= 2^(m+1);
 block 0 is widened to 0 < |k| <= 2 so that |k| = 1 is covered and the
@@ -277,86 +276,3 @@ def besov_from_block_lp(block_lp: list[tuple[int, float]], s, q) -> float:
     if qf < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     return float(sum(((2.0 ** (blk * sf)) * lp) ** qf for blk, lp in block_lp) ** (1.0 / qf))
-
-
-# -- embeddings and interpolation ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmbeddingCheck:
-    name: str
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-
-    @property
-    def binds(self) -> bool:
-        return self.lhs == self.rhs or not self.holds
-
-
-@dataclass(frozen=True)
-class EmbeddingCertificate:
-    embeds: bool
-    checks: tuple
-
-    @property
-    def binding(self) -> tuple:
-        return tuple(c.name for c in self.checks if c.binds)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "embeds": self.embeds,
-                "checks": [
-                    {"name": c.name, "lhs": str(c.lhs), "rhs": str(c.rhs), "holds": c.holds}
-                    for c in self.checks
-                ],
-                "binding": list(self.binding),
-            },
-            sort_keys=True,
-        )
-
-
-def check_embedding(source, target) -> EmbeddingCertificate:
-    """Sufficient condition for B^{s1}_{p1,q1} -> B^{s2}_{p2,q2} on the torus.
-
-    Requires s1 - 2/p1 >= s2 - 2/p2 together with p1 <= p2 and q1 <= q2.
-    """
-    s1, p1, q1 = (as_fraction(x) for x in source)
-    s2, p2, q2 = (as_fraction(x) for x in target)
-    checks = (
-        EmbeddingCheck("sobolev-index", s1 - Fraction(2) / p1, s2 - Fraction(2) / p2,
-                       s1 - Fraction(2) / p1 >= s2 - Fraction(2) / p2),
-        EmbeddingCheck("integrability", p1, p2, p1 <= p2),
-        EmbeddingCheck("summability", q1, q2, q1 <= q2),
-    )
-    return EmbeddingCertificate(embeds=all(c.holds for c in checks), checks=checks)
-
-
-@dataclass(frozen=True)
-class InterpolationReport:
-    defined: bool
-    ratio: float | None
-    s_mid: float
-    norms: tuple  # (low, mid, high)
-
-
-def interpolation_ratio(u: SpectralField, s0, s1, theta, p, q) -> InterpolationReport:
-    """Ratio ||u||_{B^{s_theta}} / (||u||_{B^{s0}}^(1-theta) ||u||_{B^{s1}}^theta).
-
-    For endpoints sharing (p, q) the per-block Hoelder inequality makes the
-    ratio <= 1 exactly; a zero field is flagged as undefined.
-    """
-    th = index_float(theta)
-    if not 0.0 < th < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if u.is_zero():
-        return InterpolationReport(False, None,
-                                   (1 - th) * index_float(s0) + th * index_float(s1),
-                                   (0.0, 0.0, 0.0))
-    block_lp = block_lp_norms(u, p)
-    s_mid = (1 - th) * index_float(s0) + th * index_float(s1)
-    lo = besov_from_block_lp(block_lp, s0, q)
-    hi = besov_from_block_lp(block_lp, s1, q)
-    mid = besov_from_block_lp(block_lp, s_mid, q)
-    return InterpolationReport(True, mid / (lo ** (1 - th) * hi**th), s_mid, (lo, mid, hi))

@@ -92,8 +92,7 @@ def cmd_admissibility(args) -> int:
     if args.action == "scan":
         if args.depth < 0:
             raise ValueError(f"scan depth must be >= 0, got {args.depth}")
-        denominator = args.denominator if args.denominator else 2**args.depth
-        scan = scan_region(as_fraction(args.s), denominator)
+        scan = scan_region(as_fraction(args.s), 2**args.depth)
         out = Path(args.out)
         _write_text(out, "\n".join(scan.csv_lines()) + "\n")
         print(f"s = {scan.s}: {scan.local_count} local / {scan.global_count} global "
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     scn = adm_sub.add_parser("scan", help="classify the (2/p, 2/r) grid")
     scn.add_argument("--s", required=True)
     scn.add_argument("--depth", type=int, default=8)
-    scn.add_argument("--denominator", type=int, default=0)
     scn.add_argument("--out", required=True)
     scn.set_defaults(fn=cmd_admissibility)
 

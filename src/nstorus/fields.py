@@ -304,14 +304,6 @@ class SpectralField:
             return complex(self.c[k1, k2 + half])
         return complex(-np.conj(self.c[-k1, -k2 + half]))
 
-    def active_modes(self):
-        """Yield (k1, k2, u_k) over the full lattice (both orientations)."""
-        k1a, k2a, canon, _, _, _, _ = _lattice(self.n)
-        for i, j in zip(*np.nonzero(canon)):
-            val = self.c[i, j]
-            yield int(k1a[i, j]), int(k2a[i, j]), complex(val)
-            yield int(-k1a[i, j]), int(-k2a[i, j]), complex(-np.conj(val))
-
     @property
     def max_mode_inf(self) -> int:
         """The |k|_inf support: largest |k|_inf with a nonzero coefficient (0 if none)."""

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .admissible import derive_exponents
-from .besov import as_fraction, besov_value, lp_norm
+from .besov import as_fraction, besov_value
 from .errors import OracleCapExceeded, ResolutionMismatch
 from .fields import (
     TWO_PI,
@@ -312,36 +312,6 @@ def _energy_lemma_hypotheses(p_t: Fraction, q_t: Fraction) -> None:
         )
 
 
-def verify_energy_lemma(x: SpectralField, y: SpectralField, eps: float,
-                        p_t, q_t) -> EstimateReport:
-    """Pointwise-in-time energy lemma check for one pair (x, y).
-
-    Measures |<B(x), y>| against eps ||x||^2_{H1} + c ||x||^2_{L2} ||y||^q~ in
-    the space B^{2/p~+2/q~-1}_{p~,q~}, and reports the implied constant c.
-    """
-    p_t, q_t = as_fraction(p_t), as_fraction(q_t)
-    _energy_lemma_hypotheses(p_t, q_t)
-    sigma = Fraction(2) / p_t + Fraction(2) / q_t - 1
-    lhs = abs(trilinear(x, x, y))
-    visc = float(eps) * x.h_norm(1.0) ** 2
-    y_norm = besov_value(y, sigma, p_t, q_t)
-    carrier = x.l2_norm() ** 2 * y_norm ** float(q_t)
-    c_implied = max(0.0, lhs - visc) / carrier if carrier > 0 else 0.0
-    rhs = visc + carrier
-    return EstimateReport(
-        inequality="energy-lemma",
-        params={"p~": str(p_t), "q~": str(q_t), "eps": float(eps)},
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs if rhs > 0 else 0.0,
-        max_ratio=lhs / rhs if rhs > 0 else 0.0,
-        mean_ratio=lhs / rhs if rhs > 0 else 0.0,
-        count=1,
-        seed=-1,
-        extra={"c_implied": c_implied, "y_norm": y_norm},
-    )
-
-
 def energy_lemma_ensemble(eps: float, p_t, q_t, ensemble: EnsembleSpec) -> EstimateReport:
     """Max implied energy-lemma constant over a random ensemble, per resolution.
 
@@ -389,54 +359,3 @@ def energy_lemma_ensemble(eps: float, p_t, q_t, ensemble: EnsembleSpec) -> Estim
         per_resolution=per_res,
         extra={"gamma_x": gamma_x, "gamma_y": gamma_y},
     )
-
-
-@dataclass(frozen=True)
-class LinkCheck:
-    name: str
-    lhs: float
-    rhs: float
-    exact: bool  # the inequality holds with constant 1 and is asserted
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else 0.0
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    links: tuple
-
-    def link(self, name: str) -> LinkCheck:
-        for l in self.links:
-            if l.name == name:
-                return l
-        raise KeyError(name)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"name": l.name, "lhs": l.lhs, "rhs": l.rhs, "ratio": l.ratio, "exact": l.exact}
-             for l in self.links]
-        )
-
-
-def verify_classical_trilinear(x: SpectralField, y: SpectralField) -> ChainReport:
-    """Each link of the classical trilinear-chain bound on <B(x), y>.
-
-    The Hoelder link and the mode-space interpolation link hold with
-    constant 1 (asserted in tests); the embedding links are empirical.
-    The Young link splits off eps ||grad x||^2 with eps = 1/2.
-    """
-    m4 = 4 * x.n  # |x|^4 is a trig polynomial; oversample so its quadrature is exact
-    lhs = abs(trilinear(x, x, y))
-    x_l4 = lp_norm(x.to_grid(m4), 4)
-    y_l4 = lp_norm(y.to_grid(m4), 4)
-    grad_l2 = x.h_norm(1.0)
-    holder = LinkCheck("holder", lhs, x_l4 * grad_l2 * y_l4, exact=True)
-    x_h_half = x.h_norm(0.5)
-    sobolev = LinkCheck("sobolev", x_l4, x_h_half, exact=False)
-    interp = LinkCheck("interpolation", x_h_half**2, x.h_norm(0.0) * x.h_norm(1.0), exact=True)
-    y_h_half = y.h_norm(0.5)
-    young_rhs = 0.5 * grad_l2**2 + x.h_norm(0.0) ** 2 * y_h_half**4
-    young = LinkCheck("young", lhs, young_rhs, exact=False)
-    return ChainReport((holder, sobolev, interp, young))

@@ -117,6 +117,9 @@ class SolverConfig:
     smallness_h: float = 1e-2
 
     def __post_init__(self):
+        if self.n < 4 or self.n % 2:
+            raise ValueError(f"n must be even and >= 4 (a dealias band n // 3 >= 1), "
+                             f"got n = {self.n}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
         if abs(self.t_final / self.steps - self.dt) > 1e-9 * self.dt:

@@ -121,23 +121,9 @@ class TestExponents:
                 assert e.alpha + e.beta < 1
                 assert e.epsilon == (1 - e.alpha - e.beta) / r
 
-    def test_unequal_pair_accepted(self):
-        params = BesovParams("4/3", "5/2", 3, 3)
-        sym = derive_exponents(params)
-        delta = Fraction(1, 100)
-        e = derive_exponents(params, pair=(sym.a + delta, sym.b - delta))
-        assert e.a != e.b
-        assert e.a + e.b == sym.a + sym.b
-        assert e.alpha + e.beta == sym.alpha + sym.beta
-
     def test_gate_enforced(self):
         with pytest.raises(InadmissibleParams):
             derive_exponents(BesovParams("5/2", "5/2", 3, 3))
-
-    def test_bad_pair_rejected(self):
-        params = BesovParams("4/3", "5/2", 3, 3)
-        with pytest.raises(InadmissibleParams):
-            derive_exponents(params, pair=(Fraction(2), Fraction(-1)))
 
 
 class TestPiecewiseMax:

@@ -1,4 +1,4 @@
-"""Norm toolkit: L_p quadrature, dyadic blocks, embeddings, interpolation."""
+"""Norm toolkit: L_p quadrature, dyadic blocks, log-convexity in s."""
 
 import json
 import sys
@@ -20,8 +20,6 @@ from nstorus.besov import (
     besov_norm,
     besov_value,
     block_lp_norms,
-    check_embedding,
-    interpolation_ratio,
     lp_norm,
     sobolev_norm,
 )
@@ -206,59 +204,36 @@ class TestBesovNorm:
                 assert 1.0 / bound * (1 - 1e-12) <= ratio <= bound * (1 + 1e-12)
 
 
-class TestEmbedding:
-    def test_global_example_embeds(self):
-        s, p, q, r = Fraction(4, 3), Fraction(5, 2), Fraction(3), Fraction(3)
-        cert = check_embedding((-s + 2, p, q), (Fraction(2) / p + Fraction(2) / r - 1, p, r))
-        assert cert.embeds
+def log_convexity_ratio(u, s0, s1, theta, p, q) -> float:
+    """||u||_{B^{s_theta}} / (||u||_{B^{s0}}^(1-theta) ||u||_{B^{s1}}^theta) at shared (p, q).
 
-    def test_reflexive(self):
-        assert check_embedding((0, 2, 2), (0, 2, 2)).embeds
-
-    def test_regularity_increase_fails(self):
-        cert = check_embedding((0, 2, 2), (1, 2, 2))
-        assert not cert.embeds
-        assert "sobolev-index" in cert.binding
-
-    def test_certificate_json(self):
-        data = json.loads(check_embedding((1, 2, 2), (0, 2, 3)).to_json())
-        assert data["embeds"] is True
-        assert len(data["checks"]) == 3
+    Hoelder's inequality on the l^q sum over blocks makes s -> log ||u||_{B^s_{p,q}}
+    convex, so the ratio is at most 1, with equality for a one-block field.
+    """
+    s_mid = (1 - theta) * s0 + theta * s1
+    lo, mid, hi = (besov_value(u, s, p, q) for s in (s0, s_mid, s1))
+    return mid / (lo ** (1 - theta) * hi**theta)
 
 
 class TestInterpolation:
     def test_single_block_field_ratio_one(self):
         u = random_field(32, 0.0, seed=5, band=1)
-        rep = interpolation_ratio(u, 0, 2, 0.3, 3, 4)
-        assert rep.defined
-        assert abs(rep.ratio - 1.0) < 1e-12
-
-    def test_zero_field_flagged(self):
-        rep = interpolation_ratio(SpectralField.zeros(8), 0, 2, 0.5, 2, 2)
-        assert not rep.defined
-        assert rep.ratio is None
+        assert abs(log_convexity_ratio(u, 0, 2, 0.3, 3, 4) - 1.0) < 1e-12
 
     def test_q2_is_cauchy_schwarz(self):
         for seed in range(10):
             u = random_field(32, 1.5, seed=seed)
-            rep = interpolation_ratio(u, 0, 2, 0.5, 2, 2)
-            assert rep.ratio <= 1.0 + 1e-10
+            assert log_convexity_ratio(u, 0, 2, 0.5, 2, 2) <= 1.0 + 1e-10
 
     def test_shared_pq_endpoints_are_hoelder_exact(self):
         for seed, (p, q, th) in enumerate([(3, 3, 0.25), (2, 5, 0.7), (4, 2, 0.5)]):
             u = random_field(16, 1.0, seed=40 + seed)
-            rep = interpolation_ratio(u, -1, 1.5, th, p, q)
-            assert rep.ratio <= 1.0 + 1e-10
-
-    def test_theta_out_of_range(self):
-        with pytest.raises(ValueError):
-            interpolation_ratio(SINGLE, 0, 1, 1.5, 2, 2)
+            assert log_convexity_ratio(u, -1, 1.5, th, p, q) <= 1.0 + 1e-10
 
     def test_q_below_one_rejected_like_besov_norm(self):
         u = random_field(16, 1.0, seed=41)
         for value in (lambda: besov_norm(u, 0, 2, "1/2"),
-                      lambda: besov_value(u, 0, 2, "1/2"),
-                      lambda: interpolation_ratio(u, 0, 1, 0.5, 2, "1/2")):
+                      lambda: besov_value(u, 0, 2, "1/2")):
             with pytest.raises(ValueError, match="q must be >= 1"):
                 value()
 

@@ -170,7 +170,6 @@ class TestCli:
 
     @pytest.mark.parametrize("option,message", [
         (["--depth", "-1"], "scan depth must be >= 0, got -1"),
-        (["--denominator", "-5"], "scan denominator must be an integer >= 1, got -5"),
     ])
     def test_admissibility_scan_bad_denominator_exit2(self, tmp_path, capsys, option, message):
         out = tmp_path / "region.csv"
@@ -266,6 +265,20 @@ class TestCli:
         code = main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_unresolvable_n_exit2(self, tmp_path, capsys, n):
+        # n = 2 leaves an empty dealias band (an all-zero run), and the field
+        # lattice takes an even n only
+        scn = tmp_path / "bad.scn"
+        scn.write_text(SCENARIO_TEXT.replace("solver.n = 16", f"solver.n = {n}"))
+        out = tmp_path / "o"
+        code = main(["solve", "--scenario", str(scn), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ScenarioError: solver settings: n must be even and >= 4 "
+            f"(a dealias band n // 3 >= 1), got n = {n}\n")
+        assert not out.exists()
 
     def test_gate_failure_exit1_names_condition(self, tmp_path, capsys):
         text = SCENARIO_TEXT.replace("params.s = 4/3", "params.s = 5/2")

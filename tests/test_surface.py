@@ -1,5 +1,5 @@
 """The package's settable surface, pinned so that no option is added unnoticed,
-and its one transform path."""
+its one transform path, and the rule that every export has a reader."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ import nstorus
 SRC = Path(nstorus.__file__).parent
 
 # Defaulted parameters plus @dataclass fields with a default, over src/nstorus/*.py.
-SETTABLE_VALUES = 50
+SETTABLE_VALUES = 49
 
 # The FFT layer: every grid transform goes through these and nothing else.
 # Block L_p norms run irfft2's two passes (ifft, irfft) themselves, since
@@ -108,3 +108,48 @@ def test_only_real_transforms():
 def test_every_exported_name_resolves():
     missing = [name for name in nstorus.__all__ if not hasattr(nstorus, name)]
     assert not missing, f"names in nstorus.__all__ that do not resolve: {missing}"
+
+
+# Outside src/nstorus, only the acceptance criteria and the benchmark tracer keep
+# an export alive; no other test does.
+KEEP_READERS = (SRC.parents[1] / "tests" / "test_acceptance.py",
+                SRC.parents[1] / "perfbench" / "tracer.py")
+
+
+def referenced_names(source: str) -> set:
+    """Names, attributes and imported names a module uses, plus the dotted parts
+    of its string constants (the tracer binds its spans by string)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_referenced_names_walk_finds_what_it_claims():
+    source = '''
+from .fields import random_field as rf
+SPANS = (("solver", "Stepper.step", "x"),)
+y = np.fft.rfft2(a)
+"""bilinear_b in a docstring"""
+'''
+    assert referenced_names(source) >= {"random_field", "Stepper", "step", "rfft2", "a", "np"}
+    assert "bilinear_b" not in referenced_names(source)
+
+
+def test_every_export_is_reached():
+    unreached = []
+    for name in nstorus.__all__:
+        home = getattr(nstorus, name).__module__.rsplit(".", 1)[-1]
+        readers = [p for p in sorted(SRC.glob("*.py")) if p.stem not in ("__init__", home)]
+        if not any(name in referenced_names(p.read_text()) for p in [*readers, *KEEP_READERS]):
+            unreached.append(name)
+    assert not unreached, (
+        f"exports that no other module, acceptance criterion or tracer span reaches: {unreached}"
+    )
