@@ -16,16 +16,15 @@ norm in the package depends on that convention.
 
 Every grid transform is a real FFT.  One cached plan per (n, m) holds the
 scatter from the canonical lattice into the m x m half spectrum and the
-gather back out of it.  A field whose |k|_inf support s has 2s < m is
-scattered into the support-width half spectrum (m, s + 1), whose columns
-past s irfft2 pads with zeros itself; only a field reaching the Nyquist
-line needs the full (m, m//2 + 1).  full_coefficient_arrays is that
-scatter; _scatter writes into an array its caller supplies, which
+gather back out of it.  Samples are taken only on grids m > 2s, where s is
+the |k|_inf support, so no two modes share a slot: a field is scattered
+into the support-width half spectrum (m, s + 1), whose columns past s
+irfft2 pads with zeros itself.  full_coefficient_arrays is that scatter;
+_scatter writes into an array its caller supplies, which
 besov.block_lp_norms takes from its reused work buffers.  to_grid's
 (2, m, m) velocity stack, made by one irfft2, is a field's only grid
 layout.  Products and norms all start from it; grid_stack makes it for a
-whole stack of band-limited coefficient arrays with one scatter and one
-irfft2.
+whole stack of coefficient arrays with one scatter and one irfft2.
 """
 
 from __future__ import annotations
@@ -158,26 +157,19 @@ def _support_scatter(n: int, m: int, s: int):
     return tuple(out)
 
 
-def _velocity_weights(c: np.ndarray, n: int) -> np.ndarray:
-    """The (..., 2, K) velocity Fourier coefficients c * phi_i on the flat canonical layout.
-
-    c is one (n/2 + 1, n + 1) coefficient array or a stack (..., n/2 + 1, n + 1) of them.
-    """
-    _, _, _, _, _, phi1, phi2 = _lattice(n)
-    return np.stack([c * phi1, c * phi2], axis=-3).reshape(*c.shape[:-2], 2, -1)
-
-
 def _scatter(c: np.ndarray, n: int, out: np.ndarray, scatter) -> np.ndarray:
-    """Write the velocity weights of c into out at the destinations of scatter; return out.
+    """Write the velocity weights c * phi_i of c into out at the destinations of scatter.
 
     scatter is a (dest_d, src_d, dest_c, src_c) tuple of flat indices, as
     _support_scatter returns, whose destinations are distinct.  out is a
-    C-contiguous complex array, zero wherever scatter does not write.  For
-    a stack c of coefficient arrays, out starts with the stack's leading
-    axes and each array goes to its own block of the rest.
+    C-contiguous complex array, zero wherever scatter does not write.  c is
+    one (n/2 + 1, n + 1) coefficient array or a stack of them; for a stack,
+    out starts with the stack's leading axes and each array goes to its own
+    block of the rest.  Returns out.
     """
     dest_d, src_d, dest_c, src_c = scatter
-    w = _velocity_weights(c, n)
+    _, _, _, _, _, phi1, phi2 = _lattice(n)
+    w = np.stack([c * phi1, c * phi2], axis=-3).reshape(*c.shape[:-2], 2, -1)
     flat = out.reshape(*c.shape[:-2], -1)
     flat[..., dest_d] = w[..., src_d]
     flat[..., dest_c] = w[..., src_c].conj()
@@ -388,23 +380,16 @@ class SpectralField:
     def full_coefficient_arrays(self, m: int) -> np.ndarray:
         """Velocity Fourier coefficients (of exp(i k.xi)) on the m x m real-FFT half spectrum.
 
-        With s = max_mode_inf and 2s < m, returns the support-width (2, m, s + 1)
-        stack: every column past s is zero, and irfft2(..., s=(m, m)) pads
-        those itself.  Otherwise returns the full (2, m, m//2 + 1) stack,
-        where each slot holds the sum of the coefficients that alias onto
-        it.  Either way irfft2 gives exact samples on any grid.
+        Returns the support-width (2, m, s + 1) stack, s = max_mode_inf:
+        every column past s is zero, and irfft2(..., s=(m, m)) pads those
+        itself.  A grid m <= 2s, on which modes would share slots, raises
+        ResolutionMismatch.
         """
         n, s = self.n, self.max_mode_inf
-        if 2 * s < m:
-            out = np.zeros((2, m, s + 1), dtype=np.complex128)
-            return _scatter(self.c, n, out, _support_scatter(n, m, s))
-        # modes on or past the Nyquist line share slots
-        w = _velocity_weights(self.c, n)
-        plan = _plan(n, m)
-        out = np.zeros((2, m * (m // 2 + 1)), dtype=np.complex128)
-        np.add.at(out, (slice(None), plan.dest_d), w[:, plan.src_d])
-        np.add.at(out, (slice(None), plan.dest_c), w[:, plan.src_c].conj())
-        return out.reshape(2, m, m // 2 + 1)
+        if m <= 2 * s:
+            raise ResolutionMismatch(f"grid size {m} <= 2 x support {s}: modes would alias")
+        out = np.zeros((2, m, s + 1), dtype=np.complex128)
+        return _scatter(self.c, n, out, _support_scatter(n, m, s))
 
     def to_grid(self, m: int | None = None) -> np.ndarray:
         """The real (2, m, m) stack [u1, u2] of samples on the uniform m x m grid.

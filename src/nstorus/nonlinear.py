@@ -44,31 +44,33 @@ def dealias_band(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def product_grid(s_u: int, s_v: int, band: int) -> int:
-    """Smallest grid m = 2^a 3^b (a >= 1) on which B(u, v) is exact on |k|_inf <= band.
+def product_grid(n: int, s: int) -> int:
+    """Smallest grid m = 2^a 3^b (a >= 1) on which B(u, v) is exact on the band of n.
 
-    Supports count as at least the band, so every band-limited field uses
-    product_grid(band, band, band).  The products u_i v_j have support
-    s_u + s_v, and an alias k + m j of them reaches the band only if
-    m <= s_u + s_v + band.  On 2^a 3^b grids alone the real FFT maps a row
-    constant along an axis to exact zeros, so shear flows stay steady.
+    s, the larger |k|_inf support of u and v, counts as at least the band,
+    so every band-limited field uses product_grid(n, band).  The products
+    u_i v_j have support 2s, and an alias k + m j of them reaches the band
+    only if m <= 2s + band; so m > 2s and, being even, m >= n.  On 2^a 3^b
+    grids alone the real FFT maps a row constant along an axis to exact
+    zeros, so shear flows stay steady.
     """
-    bound = max(s_u, band) + max(s_v, band) + band + 1
+    band = dealias_band(n)
+    bound = 2 * max(s, band) + band + 1
     powers = range(bound.bit_length() + 1)
     return min(m for m in (2**a * 3**b for a in powers[1:] for b in powers) if m >= bound)
 
 
 @lru_cache(maxsize=None)
-def _projection(n: int, m: int, band: int):
+def _projection(n: int, m: int):
     """Weights taking the m x m half spectra of the three products to B on the band.
 
     Returns (keep, gather, gsign, weights): keep lists the flat canonical
-    slots with |k|_inf <= band, gather and gsign are the plan's Leray gather
-    on those slots, and weights the (3, len(keep)) factors
+    slots with |k|_inf <= dealias_band(n), gather and gsign are the plan's
+    Leray gather on those slots, and weights the (3, len(keep)) factors
     (2 pi i / |k|) (k1 k2, k1^2, -k2^2) of u2 v2 - u1 v1, u1 v2 and u2 v1.
     """
     k1, k2, canon, _, kabs, _, _ = _lattice(n)
-    keep = np.flatnonzero(canon & _band_mask(n, band))
+    keep = np.flatnonzero(canon & _band_mask(n, dealias_band(n)))
     a1, a2, ak = k1.ravel()[keep], k2.ravel()[keep], kabs.ravel()[keep]
     plan = _plan(n, m)
     gather, gsign = plan.gather[keep], plan.gsign[keep]
@@ -78,18 +80,23 @@ def _projection(n: int, m: int, band: int):
     return keep, gather, gsign, weights
 
 
-def _project(grids, terms, n: int, m: int, band: int) -> np.ndarray:
-    """The (T, n/2 + 1, n + 1) sums of B over each term's (i, j) pairs of velocity samples.
+def _products(stack: np.ndarray, terms, s: int) -> np.ndarray:
+    """The (T, n/2 + 1, n + 1) sums of B over each term's (i, j) pairs of rows of stack.
 
-    Since div u = 0, (u . grad) v = div(u (x) v), and the e_k coefficient
-    of B(u, v) is
+    Every row of the (C, n/2 + 1, n + 1) coefficient stack has |k|_inf
+    support at most s.  One scatter and one irfft2 (fields.grid_stack) put
+    the rows on product_grid(n, s).  Since div u = 0, (u . grad) v =
+    div(u (x) v), and the e_k coefficient of B(u, v) is
 
         (2 pi i / |k|) [k1 k2 (u2 v2 - u1 v1)^ + k1^2 (u1 v2)^ - k2^2 (u2 v1)^]_k,
 
-    so a product needs only velocity samples.  grids[i] is the (2, m, m)
-    stack of field i; each term adds its pairs' three products in order,
-    and one rfft2 takes every term's three planes to the band.
+    so a product needs only velocity samples.  Each term adds its pairs'
+    three products in order, and one rfft2 takes every term's three planes
+    to the band.
     """
+    n = 2 * (stack.shape[-2] - 1)
+    m = product_grid(n, s)
+    grids = grid_stack(stack, m, s)
     prods = np.zeros((len(terms), 3, m, m))
     for planes, term in zip(prods, terms):
         for i, j in term:
@@ -98,7 +105,7 @@ def _project(grids, terms, n: int, m: int, band: int) -> np.ndarray:
             planes[1] += u1 * v2
             planes[2] += u2 * v1
     spec = np.fft.rfft2(prods, norm="forward").reshape(len(terms), 3, -1)
-    keep, gather, gsign, weights = _projection(n, m, band)
+    keep, gather, gsign, weights = _projection(n, m)
     w = spec[..., gather]
     w.imag *= gsign
     values = (w * weights).sum(axis=-2)
@@ -107,42 +114,35 @@ def _project(grids, terms, n: int, m: int, band: int) -> np.ndarray:
     return out.reshape(len(terms), *canonical_shape(n))
 
 
-def bilinear_terms(stack: np.ndarray, terms, band: int) -> np.ndarray:
+def bilinear_terms(stack: np.ndarray, terms) -> np.ndarray:
     """B summed over each term's (i, j) pairs of rows of a band-limited coefficient stack.
 
     stack is a (C, n/2 + 1, n + 1) array of fields confined to |k|_inf <=
-    band; the result is the (T, n/2 + 1, n + 1) stack of one sum per term.
-    Every row goes to product_grid(band, band, band) (at least n) with one
-    scatter and one irfft2 (fields.grid_stack), and one rfft2 takes every
-    term's products to the band.  Each sum equals the one-field products of
-    bilinear_b bit for bit.
+    dealias_band(n); the result is the (T, n/2 + 1, n + 1) stack of one sum
+    per term, all on product_grid(n, band).  Each sum equals the one-field
+    products of bilinear_b bit for bit.
     """
     n = 2 * (stack.shape[-2] - 1)
-    m = max(n, product_grid(band, band, band))
-    return _project(grid_stack(stack, m, band), terms, n, m, band)
+    return _products(stack, terms, dealias_band(n))
 
 
-def bilinear_b(u: SpectralField, v: SpectralField, band: int | None = None) -> SpectralField:
-    """B(u, v) = P[(u . grad) v], dealiased to |k|_inf <= band.
+def bilinear_b(u: SpectralField, v: SpectralField) -> SpectralField:
+    """B(u, v) = P[(u . grad) v], dealiased to |k|_inf <= dealias_band(n).
 
-    u and v go to the product_grid of their larger support (at least n),
-    once each, and one rfft2 projects their three products.
+    u, or u and v stacked, go to the product_grid of their larger support
+    along the path of bilinear_terms.
     """
     if u.n != v.n:
         raise ResolutionMismatch(f"resolutions differ: {sorted((u.n, v.n))}")
-    n = u.n
-    band = dealias_band(n) if band is None else band
+    stack = np.stack([u.c] if v is u else [u.c, v.c])
     s = max(u.max_mode_inf, v.max_mode_inf)
-    m = max(n, product_grid(s, s, band))
-    grids = [u.to_grid(m)] if v is u else [u.to_grid(m), v.to_grid(m)]
-    return SpectralField._view(n, _project(grids, [[(0, len(grids) - 1)]], n, m, band)[0])
+    return SpectralField._view(u.n, _products(stack, [[(0, len(stack) - 1)]], s)[0])
 
 
 ORACLE_CAP = 16  # largest resolution the O(N^4) oracle accepts
 
 
-def bilinear_b_oracle(u: SpectralField, v: SpectralField,
-                      band: int | None = None) -> SpectralField:
+def bilinear_b_oracle(u: SpectralField, v: SpectralField) -> SpectralField:
     """Brute-force convolution: sum over all mode pairs j + k = m.
 
     Per output mode m the e-basis coefficient is
@@ -157,7 +157,7 @@ def bilinear_b_oracle(u: SpectralField, v: SpectralField,
     n = u.n
     if n > ORACLE_CAP:
         raise OracleCapExceeded(f"oracle capped at resolution {ORACLE_CAP}, got {n}")
-    band = dealias_band(n) if band is None else band
+    band = dealias_band(n)
     half = n // 2
 
     def full_modes(f):
@@ -188,10 +188,9 @@ def bilinear_b_oracle(u: SpectralField, v: SpectralField,
     return SpectralField(n, out)
 
 
-def trilinear(u: SpectralField, v: SpectralField, w: SpectralField,
-              band: int | None = None) -> float:
+def trilinear(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
     """<B(u, v), w> via the spectral inner product (real by reality)."""
-    return bilinear_b(u, v, band=band).inner(w)
+    return bilinear_b(u, v).inner(w)
 
 
 # -- estimate harnesses -----------------------------------------------------------

@@ -46,6 +46,7 @@ from .errors import (
     InadmissibleParams,
     NonConvergent,
     NonFiniteField,
+    ResolutionMismatch,
     SmallnessBoundViolation,
     SmallnessViolation,
     UnboundedConstant,
@@ -133,7 +134,7 @@ class SolverConfig:
     @property
     def grid_m(self) -> int:
         """The grid of every product of a run: its states are confined to the band."""
-        return product_grid(self.band, self.band, self.band)
+        return product_grid(self.n, self.band)
 
     @property
     def steps(self) -> int:
@@ -170,8 +171,8 @@ class Stepper:
         return state_next, k1, increments
 
 
-def integrate(state0: tuple, nonlin, t_final: float, steps: int, band: int) -> tuple:
-    """Integrate u' + Au = du for each component from the band-truncated state.
+def integrate(state0: tuple, nonlin, t_final: float, steps: int) -> tuple:
+    """Integrate u' + Au = du for each component from the state cut to the dealiased band.
 
     The C components are held as one (C, n/2 + 1, n + 1) stack, and
     nonlin(stack, t) is called once per stage, as Stepper.step describes.
@@ -189,7 +190,7 @@ def integrate(state0: tuple, nonlin, t_final: float, steps: int, band: int) -> t
     times = np.linspace(0.0, t_final, steps + 1)
     block = np.empty((2, steps + 1, len(state0)) + canonical_shape(n), dtype=np.complex128)
     states, derivs = block
-    states[0] = [u.truncated_inf(band).c for u in state0]
+    states[0] = [u.truncated_inf(dealias_band(n)).c for u in state0]
     increments = []
     for i in range(steps):
         t = float(times[i])
@@ -208,15 +209,24 @@ def integrate(state0: tuple, nonlin, t_final: float, steps: int, band: int) -> t
                  for j, inc in enumerate(zip(*increments)))
 
 
-def _band_forcing(forcing, band: int):
-    """t -> forcing.field_at(t) cut to |k|_inf <= band.
+def _band_forcing(forcing):
+    """t -> forcing.field_at(t) cut to the dealiased band |k|_inf <= dealias_band(n).
 
     A steady forcing is the same field at every t, so it is built once.
     """
+    band = dealias_band(forcing.n)
     if forcing.is_steady():
         value = forcing.field_at(0.0).truncated_inf(band)
         return lambda t: value
     return lambda t: forcing.field_at(t).truncated_inf(band)
+
+
+def _require_resolution(config: SolverConfig, *data) -> None:
+    """Refuse data at another resolution than config.n, naming both: the band and the
+    product grid follow the data, so the run would not be the one its artifacts record."""
+    for item in data:
+        if item.n != config.n:
+            raise ResolutionMismatch(f"data at resolution {item.n} for a solver at n = {config.n}")
 
 
 def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
@@ -227,19 +237,19 @@ def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
     bilinear_b.  With monitor, the energy-balance integrands ||u||_{H1}^2,
     <f, u> and <B(u,u), u> are accumulated as visc, work_f and work_b.
     """
-    band, n = config.band, u0.n
-    force = _band_forcing(forcing, band)
+    _require_resolution(config, u0, forcing)
+    force = _band_forcing(forcing)
 
     def nonlin(state, t):
-        u = SpectralField._view(n, state[0])
+        u = SpectralField._view(config.n, state[0])
         f = force(t)
-        b = bilinear_b(u, u, band=band)
+        b = bilinear_b(u, u)
         du = (f.c - b.c)[None]
         if not monitor:
             return du, ({},)
         return du, ({"visc": u.h_norm(1.0) ** 2, "work_f": f.inner(u), "work_b": b.inner(u)},)
 
-    (traj,) = integrate((u0,), nonlin, config.t_final, config.steps, band)
+    (traj,) = integrate((u0,), nonlin, config.t_final, config.steps)
     return traj
 
 
@@ -284,8 +294,8 @@ class LocalResult:
     bound_rhs: float
 
 
-def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
-                   t_bar: float, steps: int) -> PicardDiagnostics:
+def picard_iterate(u0: SpectralField, forcing, params, t_bar: float,
+                   steps: int) -> PicardDiagnostics:
     """Fixed-point iteration u <- Stokes-solve(u0, f - B(u)) on the sample grid.
 
     A sweep holds rhs_i = f(t_i) - B(u_i, u_i) constant on [t_i, t_{i+1}),
@@ -294,7 +304,6 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
     measured in the discrete graph norm of the difference; the recorded
     factors are ratios of consecutive difference norms.
     """
-    band = config.band
     times = np.linspace(0.0, t_bar, steps + 1)
     dt = t_bar / steps
 
@@ -303,8 +312,8 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
                           derivs=[pa - pb for pa, pb in zip(rhs_a, rhs_b)])
         return diff.w1r_norm(params)
 
-    force = _band_forcing(forcing, band)
-    u0b = u0.truncated_inf(band)
+    force = _band_forcing(forcing)
+    u0b = u0.truncated_inf(dealias_band(u0.n))
     decay = u0b.radial_weights(lambda kk: np.exp(-dt * kk.astype(float)))
     gain = u0b.radial_weights(lambda kk: -np.expm1(-dt * kk.astype(float)) / kk.astype(float))
     current = [semigroup(u0b, float(t)) for t in times]
@@ -316,7 +325,7 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
     for it in range(PICARD_MAX_ITER):
         iterations = it + 1
         rhs_fields = [
-            force(float(t)) - bilinear_b(w, w, band=band)
+            force(float(t)) - bilinear_b(w, w)
             for t, w in zip(times, current)
         ]
         new_fields = [u0b]
@@ -342,6 +351,7 @@ def picard_iterate(u0: SpectralField, forcing, params, config: SolverConfig,
 
 def solve_local(u0: SpectralField, forcing, params, config: SolverConfig) -> LocalResult:
     """Local-in-time solve on [0, T-bar] with T-bar from the smallness bound."""
+    _require_resolution(config, u0, forcing)
     gate = check_local(params)
     if not gate.all_pass:
         raise InadmissibleParams(
@@ -354,7 +364,7 @@ def solve_local(u0: SpectralField, forcing, params, config: SolverConfig) -> Loc
     steps = max(8, math.ceil(t_bar / config.dt))
     local_cfg = replace(config, t_final=t_bar, dt=t_bar / steps)
     traj = solve_direct(u0, forcing, local_cfg, monitor=True)
-    picard = picard_iterate(u0, forcing, params, config, t_bar, steps)
+    picard = picard_iterate(u0, forcing, params, t_bar, steps)
     return LocalResult(t_bar, traj, picard, f_norm, exps.epsilon,
                        smallness_bound_rhs(config.constants))
 
@@ -463,14 +473,15 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y0: SpectralField, h: ForcingSpec
     configured energy-lemma constant.  Each stage takes the three product
     groups of the stacked (y, x) state from one bilinear_terms call.
     """
+    _require_resolution(config, x0, g, y0, h)
     _check_rough_data(y0, h, params, config)
-    band, n = config.band, x0.n
-    force_h = _band_forcing(h, band)
-    force_g = _band_forcing(g, band)
+    n = config.n
+    force_h = _band_forcing(h)
+    force_g = _band_forcing(g)
     terms = [[(0, 0)], [(1, 1)], [(1, 0), (0, 1)]]
 
     def nonlin(state, t):
-        byy, bxx, bxy = bilinear_terms(state, terms, band)
+        byy, bxx, bxy = bilinear_terms(state, terms)
         f = force_g(t)
         y, x = (SpectralField._view(n, a) for a in state)
         du = np.stack([force_h(t).c - byy, f.c - bxx - bxy])
@@ -478,9 +489,8 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y0: SpectralField, h: ForcingSpec
                       "work_b": SpectralField._view(n, bxx).inner(y), "work_g": f.inner(x)}
         return du, ({}, integrands)
 
-    x0b = x0.truncated_inf(band)
-    y_traj, traj = integrate((y0, x0b), nonlin, config.t_final, config.steps, band)
-    monitor = build_energy_monitor(traj, y_traj, g, x0b, params, config)
+    y_traj, traj = integrate((y0, x0), nonlin, config.t_final, config.steps)
+    monitor = build_energy_monitor(traj, y_traj, g, traj.fields[0], params, config)
     return XResult(traj, y_traj, monitor)
 
 
@@ -494,7 +504,7 @@ def build_energy_monitor(traj: Trajectory, y_traj: Trajectory, g: ForcingSpec,
     residuals = (lhs - rhs) / scale
     # a priori envelope: ||x(t)||^2 <= (||x0||^2 + 2 int ||g||^2_{H-1}) exp(2 c int ||y||^r)
     times = traj.times
-    force = _band_forcing(g, config.band)
+    force = _band_forcing(g)
     if g.is_steady():
         g_vals = np.full(len(times), force(0.0).h_norm(-1.0) ** 2)
     else:
@@ -530,6 +540,7 @@ def solve_split(u0: SpectralField, forcing: ForcingSpec, params,
     independent check of x + y, is its own one-component integration with
     the one-field product bilinear_b.
     """
+    _require_resolution(config, u0, forcing)
     gate = check_global(params)
     if not gate.all_pass:
         raise InadmissibleParams(
@@ -571,22 +582,21 @@ def uniqueness_probe(u0: SpectralField, forcing, params, config: SolverConfig,
     """
     if num_halvings < 1:
         raise ValueError(f"num_halvings must be >= 1, got {num_halvings}")
-    steps = config.steps
-    band = config.band
-    force = _band_forcing(forcing, band)
-
     state0 = (u0, SpectralField.zeros(u0.n))
     if delta0 is not None and not delta0.is_zero():
         state0 += (delta0,)
+    _require_resolution(config, forcing, *state0)
+    steps = config.steps
+    force = _band_forcing(forcing)
     terms = [[(0, 0)]] + [[(0, j), (j, 0)] for j in range(1, len(state0))]
 
     def nonlin(state, t):
-        b = bilinear_terms(state, terms, band)
+        b = bilinear_terms(state, terms)
         du = -b
         du[0] = force(t).c - b[0]
         return du, ({},) * len(du)
 
-    u_traj, zero_traj, *d_traj = integrate(state0, nonlin, config.t_final, steps, band)
+    u_traj, zero_traj, *d_traj = integrate(state0, nonlin, config.t_final, steps)
     zero_exact = all(not np.any(f.c) for f in zero_traj.fields)
 
     # contraction coefficient over halving windows
@@ -650,7 +660,7 @@ def estimate_empirical_constants(params, n: int, count: int, seed: int) -> Empir
         ninv = max(ninv, rep.ratio)
 
         # product estimate along the linear trajectory
-        b_vals = [besov_value(bilinear_b(u, u, band=band), -params.s, params.p, params.q)
+        b_vals = [besov_value(bilinear_b(u, u), -params.s, params.p, params.q)
                   for u in traj.fields]
         b_int = lr_time_norm(traj.times, params.r, b_vals)
         w = rep.w_norm
@@ -660,7 +670,7 @@ def estimate_empirical_constants(params, n: int, count: int, seed: int) -> Empir
         # contraction bound: ||B(u, d)|| against ||u|| ||d||_S
         d_field = random_field(n, gamma_u0, seed + 3 * i + 2, band=band, amplitude=1.0)
         d_traj = stokes_solve(d_field, ForcingSpec.zero(n), t_final, steps)
-        bd_vals = [besov_value(bilinear_b(u, d, band=band), sigma_top - 2, params.p, params.q)
+        bd_vals = [besov_value(bilinear_b(u, d), sigma_top - 2, params.p, params.q)
                    for u, d in zip(traj.fields, d_traj.fields)]
         bd_int = lr_time_norm(traj.times, params.r, bd_vals)
         u_int = lr_time_norm(traj.times, params.r, traj.besov_series(sigma_top, params.p, params.q))

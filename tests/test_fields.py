@@ -95,6 +95,15 @@ class TestGridTransforms:
         with pytest.raises(ResolutionMismatch):
             u.to_grid(6)
 
+    def test_grid_on_which_modes_alias_is_refused(self):
+        # support n/2 reaches the Nyquist line of m = n; support 5 shares slots on m = 10
+        with pytest.raises(ResolutionMismatch, match="alias"):
+            random_field(8, 1.0, seed=3).to_grid(8)
+        u = random_field(16, 1.0, seed=3, band=5)
+        with pytest.raises(ResolutionMismatch, match="alias"):
+            u.full_coefficient_arrays(10)
+        assert u.full_coefficient_arrays(11).shape == (2, 11, 6)
+
     @pytest.mark.parametrize("m", [9, 10, 16, 32])
     def test_parseval(self, m):
         u = random_field(8, 0.5, seed=11)

@@ -55,7 +55,7 @@ class TestBilinear:
     def test_two_mode_regression_fixture(self):
         u = SpectralField.from_modes(4, [((1, 0), 1.0)])
         v = SpectralField.from_modes(4, [((0, 1), 1.0)])
-        out = bilinear_b_oracle(u, v, band=1)
+        out = bilinear_b_oracle(u, v)
         assert out.coeff(1, 1) == pytest.approx(TWO_MODE_VALUE, abs=1e-15)
         assert out.coeff(1, -1) == pytest.approx(TWO_MODE_VALUE, abs=1e-15)
         half = out.n // 2
@@ -65,8 +65,8 @@ class TestBilinear:
 
     def test_combined_two_mode_field_is_steady(self):
         w = SpectralField.from_modes(4, [((1, 0), 1.0), ((0, 1), 1.0)])
-        assert np.max(np.abs(bilinear_b_oracle(w, w, band=1).c)) <= 1e-15
-        assert np.max(np.abs(bilinear_b(w, w, band=1).c)) <= 1e-15
+        assert np.max(np.abs(bilinear_b_oracle(w, w).c)) <= 1e-15
+        assert np.max(np.abs(bilinear_b(w, w).c)) <= 1e-15
 
     def test_oracle_bilinear_dyadic_exact(self):
         u = random_field(6, 1.0, 3)

@@ -12,6 +12,7 @@ from nstorus.errors import (
     CutoffExhausted,
     InadmissibleParams,
     NonFiniteField,
+    ResolutionMismatch,
     SmallnessBoundViolation,
     SmallnessViolation,
     UnboundedConstant,
@@ -52,6 +53,22 @@ class TestConfig:
         assert cfg.grid_m == 32
         assert cfg.steps == 1000
 
+    def test_data_at_another_resolution_is_refused(self):
+        # the band and the product grid follow the data, so N = 32 data under n = 16
+        # would run at N = 32 and be recorded as n = 16
+        cfg = SolverConfig(n=16, dt=0.01, t_final=0.02)
+        u32, f32 = random_field(32, 2.2, 1, band=10), ForcingSpec.zero(32)
+        u16, f16 = random_field(16, 2.2, 1, band=5), ForcingSpec.zero(16)
+        calls = [lambda: solve_direct(u32, f32, cfg),
+                 lambda: solve_direct(u16, f32, cfg),
+                 lambda: solve_local(u32, f16, PARAMS, cfg),
+                 lambda: solve_split(u32, f32, PARAMS, cfg),
+                 lambda: solve_x(u16, f16, u32, f16, PARAMS, cfg),
+                 lambda: uniqueness_probe(u16, f16, PARAMS, cfg, delta0=u32)]
+        for call in calls:
+            with pytest.raises(ResolutionMismatch, match=r"resolution 32 .* n = 16$"):
+                call()
+
 
 class TestStep:
     def test_linear_reduction_matches_semigroup_per_mode(self):
@@ -61,7 +78,7 @@ class TestStep:
         def no_nonlin(state, t):
             return np.zeros_like(state), ({},)
 
-        (traj,) = integrate((u0,), no_nonlin, cfg.t_final, cfg.steps, cfg.band)
+        (traj,) = integrate((u0,), no_nonlin, cfg.t_final, cfg.steps)
         for t, u in zip(traj.times, traj.fields):
             ref = semigroup(u0, float(t))
             mask = np.abs(ref.c) > 0
@@ -79,7 +96,7 @@ class TestStep:
 
         def direct(u, t, forcing):
             fu = forcing.field_at(t).truncated_inf(band)
-            b = bilinear_b(u, u, band=band)
+            b = bilinear_b(u, u)
             return fu - b, {"visc": u.h_norm(1.0) ** 2, "work_b": b.inner(u)}
 
         def rhs(*forcing):
@@ -88,8 +105,8 @@ class TestStep:
                 return np.stack([du.c for du, _ in pairs]), tuple(w for _, w in pairs)
             return nonlin
 
-        pair = integrate((u0, v0), rhs(*forcings), cfg.t_final, cfg.steps, band)
-        alone = [integrate((w0,), rhs(g), cfg.t_final, cfg.steps, band)[0]
+        pair = integrate((u0, v0), rhs(*forcings), cfg.t_final, cfg.steps)
+        alone = [integrate((w0,), rhs(g), cfg.t_final, cfg.steps)[0]
                  for w0, g in zip((u0, v0), forcings)]
         for joint, single in zip(pair, alone):
             assert all(np.array_equal(a.c, b.c) for a, b in zip(joint.fields, single.fields))
@@ -105,7 +122,7 @@ class TestStep:
         def nonlin(state, t):
             return np.zeros_like(state), ({"t": t},)
 
-        (traj,) = integrate((SpectralField.zeros(8),), nonlin, cfg.t_final, cfg.steps, cfg.band)
+        (traj,) = integrate((SpectralField.zeros(8),), nonlin, cfg.t_final, cfg.steps)
         h = cfg.t_final / cfg.steps
         expected = [0.0]
         for t in map(float, traj.times[:-1]):
@@ -179,14 +196,14 @@ class TestStageWork:
 
         def nonlin(state, t):
             u = SpectralField(16, state[0])
-            du = f.field_at(t).truncated_inf(band) - bilinear_b(u, u, band=band)
+            du = f.field_at(t).truncated_inf(band) - bilinear_b(u, u)
             return du.c[None], ({
                 "visc": u.h_norm(1.0) ** 2,
                 "work_f": f.field_at(t).truncated_inf(band).inner(u),
-                "work_b": bilinear_b(u, u, band=band).inner(u),
+                "work_b": bilinear_b(u, u).inner(u),
             },)
 
-        (ref,) = integrate((u0,), nonlin, cfg.t_final, cfg.steps, band)
+        (ref,) = integrate((u0,), nonlin, cfg.t_final, cfg.steps)
         assert all(np.array_equal(a.c, b.c) for a, b in zip(traj.fields, ref.fields))
         assert list(traj.acc) == list(ref.acc) == ["visc", "work_f", "work_b"]
         for name in ref.acc:
@@ -250,12 +267,11 @@ class TestLocalSolve:
         assert res.f_norm * res.t_bar ** float(res.epsilon) < res.bound_rhs
 
     def test_contraction_factor_decreases_with_window(self):
-        cfg = SolverConfig(n=16, dt=0.02, t_final=2.0)
         u0 = SpectralField.from_modes(16, [((1, 0), 0.2)])
         f = ForcingSpec.from_modes(16, [((1, 1), 0.1)])
         firsts = []
         for t_bar in (2.0, 1.0, 0.5, 0.25):
-            diag = picard_iterate(u0, f, PARAMS, cfg, t_bar, 40)
+            diag = picard_iterate(u0, f, PARAMS, t_bar, 40)
             firsts.append(diag.factors[0])
         assert all(b < a for a, b in zip(firsts, firsts[1:]))
 
@@ -263,10 +279,9 @@ class TestLocalSolve:
 
     def test_picard_sweeps_are_pinned(self):
         # pinned bit for bit: the interval step's floating-point sequence must not change
-        cfg = SolverConfig(n=16, dt=0.05, t_final=0.4)
         u0 = random_field(16, 2.0, seed=31, band=5, amplitude=0.3)
         f = ForcingSpec.from_modes(16, self.MIXED_FORCING)
-        diag = picard_iterate(u0, f, PARAMS, cfg, 0.4, 8)
+        diag = picard_iterate(u0, f, PARAMS, 0.4, 8)
         assert diag.converged and diag.iterations == 6
         assert diag.diff_norms == [0.10937625917776739, 0.0013031467349584192,
                                    7.11682208554244e-06, 9.516302463865671e-08,
@@ -277,11 +292,10 @@ class TestLocalSolve:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_picard_non_finite_sweep_rejected(self):
-        cfg = SolverConfig(n=16, dt=0.05, t_final=0.4)
         u0 = random_field(16, 2.0, seed=31, band=5, amplitude=1e200)
         f = ForcingSpec.from_modes(16, self.MIXED_FORCING)
         with pytest.raises(NonFiniteField, match=r"sample 1 \(t = 0.05\)"):
-            picard_iterate(u0, f, PARAMS, cfg, 0.4, 8)
+            picard_iterate(u0, f, PARAMS, 0.4, 8)
 
 
 class TestSplitData:

@@ -9,7 +9,7 @@ import nstorus
 SRC = Path(nstorus.__file__).parent
 
 # Defaulted parameters plus @dataclass fields with a default, over src/nstorus/*.py.
-SETTABLE_VALUES = 49
+SETTABLE_VALUES = 46
 
 # The FFT layer: every grid transform goes through these and nothing else.
 # Block L_p norms run irfft2's two passes (ifft, irfft) themselves, since
@@ -103,6 +103,23 @@ def test_only_real_transforms():
     assert used <= FFT_FUNCTIONS, (
         f"transforms outside the real-FFT layer: {sorted(used - FFT_FUNCTIONS)}"
     )
+
+
+def parameters_named(source: str, name: str) -> list:
+    """Functions, methods and nested functions included, with a parameter called name."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and name in {a.arg for a in node.args.posonlyargs + node.args.args
+                         + node.args.kwonlyargs}]
+
+
+def test_products_and_solves_take_no_band():
+    # the dealiased band is a function of n (nonlinear.dealias_band), so no product or
+    # solve is handed one; random_field(band=...) and truncated_inf(band) set the
+    # support of data, and stay outside this rule
+    found = {p.stem: parameters_named(p.read_text(), "band")
+             for p in (SRC / "nonlinear.py", SRC / "solver.py")}
+    assert found == {"nonlinear": [], "solver": []}
 
 
 def test_every_exported_name_resolves():

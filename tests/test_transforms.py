@@ -19,7 +19,6 @@ from nstorus.nonlinear import (
     bilinear_terms,
     dealias_band,
     product_grid,
-    trilinear,
 )
 from nstorus.solver import SolverConfig, solve_direct, solve_split, solve_x
 from nstorus.stokes import ForcingSpec
@@ -111,15 +110,14 @@ class TestComplexReference:
     @pytest.mark.parametrize("n,m", [(n, m) for n in (8, 16, 32)
                                      for m in (n, n + 2, 3 * n // 2, 2 * n, 4 * n)])
     def test_support_width_samples_equal_full_width(self, n, m):
-        # support n/2 at m = n puts the outermost modes on the Nyquist line
-        for support in (n // 2, n // 4):
+        # a grid m <= 2 x support is refused, so support n/2 runs only from m = n + 2
+        for support in (s for s in (n // 2, n // 4) if 2 * s < m):
             u = random_field(n, 0.5, 5, band=support)
             full = np.stack(complex_coefficients(u, m))[..., : m // 2 + 1]
             assert np.array_equal(u.to_grid(m), np.fft.irfft2(full, s=(m, m), norm="forward"))
 
-    @pytest.mark.parametrize("m", [8, 9, 12, 16])
+    @pytest.mark.parametrize("m", [9, 12, 16])
     def test_samples_match_on_any_grid_from_n(self, m):
-        # m = n puts the outermost modes on the Nyquist line, where partners share slots
         u = random_field(8, 0.5, 3)
         assert np.max(np.abs(u.to_grid(m) - complex_samples(u, m))) <= 1e-14
 
@@ -128,44 +126,42 @@ class TestComplexReference:
 @given(half=st.integers(2, 8), data=st.data())
 def test_bilinear_matches_oracle(half, data):
     n = 2 * half
-    band = data.draw(st.integers(0, half), label="band")
     s_u = data.draw(st.integers(0, half), label="s_u")
     s_v = data.draw(st.integers(0, half), label="s_v")
     seed = data.draw(st.integers(0, 10_000), label="seed")
     # support 0 stands for the zero field, since random_field rejects band 0
     u = random_field(n, 1.0, seed, band=s_u) if s_u else SpectralField.zeros(n)
     v = random_field(n, 1.0, seed + 1, band=s_v) if s_v else SpectralField.zeros(n)
-    fast = bilinear_b(u, v, band=band)
-    slow = bilinear_b_oracle(u, v, band=band)
+    fast = bilinear_b(u, v)
+    slow = bilinear_b_oracle(u, v)
     assert np.max(np.abs(fast.c - slow.c)) <= 1e-13 * max(1.0, np.max(np.abs(slow.c)))
 
 
 class TestProductGrid:
     def test_band_limited_default_is_n(self):
-        assert product_grid(10, 10, 10) == 32
+        assert product_grid(32, 10) == 32
         assert SolverConfig(n=32).grid_m == 32
-        assert product_grid(16, 16, 16) == 54  # 2 * 3^3, the first 3-smooth grid above 49
-        assert product_grid(1, 1, 10) == 32
+        assert product_grid(48, 16) == 54  # 2 * 3^3, the first 3-smooth grid above 49
+        assert product_grid(32, 1) == 32  # supports count as at least the band
 
-    def test_full_band_energy_vanishes(self):
-        n, band = 32, 16
-        for seed in range(5):
-            u = random_field(n, 1.0, seed, band=band)
-            scale = u.l2_norm() ** 2 * u.h_norm(1.0)
-            assert abs(trilinear(u, u, u, band=band)) <= 1e-12 * scale
+    def test_grid_holds_the_support_and_the_resolution(self):
+        # the grid_stack precondition 2s < m, and no grid below n, at every support
+        for n in range(4, 257, 2):
+            for s in range(n // 2 + 1):
+                m = product_grid(n, s)
+                assert m > 2 * s and m >= n, (n, s, m)
 
     def test_shared_states_match_fresh_products(self):
         # fields of different supports share one grid; each term is its own products' sum
-        band = dealias_band(32)
         x = random_field(32, 1.0, 1, band=3)
-        y = random_field(32, 1.0, 2, band=band)
+        y = random_field(32, 1.0, 2, band=dealias_band(32))
         pairs = ((x, y), (y, x), (x, x))
         got = bilinear_terms(np.stack([x.c, y.c]),
-                             [[(0, 1)], [(1, 0)], [(0, 0)], [(0, 1), (1, 0)]], band=band)
+                             [[(0, 1)], [(1, 0)], [(0, 0)], [(0, 1), (1, 0)]])
         for out, (a, b) in zip(got, pairs):
-            assert rel_err(out, bilinear_b(a, b, band=band).c) <= 1e-14
-            assert np.array_equal(out, bilinear_b(a, b, band=band).c)
-        pair = (bilinear_b(x, y, band=band) + bilinear_b(y, x, band=band)).c
+            assert rel_err(out, bilinear_b(a, b).c) <= 1e-14
+            assert np.array_equal(out, bilinear_b(a, b).c)
+        pair = (bilinear_b(x, y) + bilinear_b(y, x)).c
         assert rel_err(got[3], pair) <= 1e-14
 
     @pytest.mark.parametrize("n", [10, 16, 32])
@@ -222,7 +218,8 @@ def test_solve_x_makes_one_inverse_and_one_forward_transform_per_stage(monkeypat
 
 def test_solve_split_steps_the_pair_stacked_and_the_direct_check_alone(monkeypatch):
     # per stage, one irfft2 of the (y, x) stack and one rfft2 of its three product groups;
-    # then the direct solve's own stages, each one to_grid of u and one rfft2 in bilinear_b
+    # then the direct solve's own stages, each one irfft2 of the one-field stack [u] and
+    # one rfft2 in bilinear_b
     cfg = SolverConfig(n=16, dt=0.01, t_final=0.05, split_eps=5e-2, smallness_y0=6e-2,
                        smallness_h=6e-2)
     m, width = cfg.grid_m, cfg.band + 1
@@ -232,5 +229,5 @@ def test_solve_split_steps_the_pair_stacked_and_the_direct_check_alone(monkeypat
     solve_split(u0, f, PARAMS, cfg)
     stages = 4 * cfg.steps + 1
     assert ([shape for shape, s in inverse if s == (m, m)]
-            == [(2, 2, m, width)] * stages + [(2, m, width)] * stages)
+            == [(2, 2, m, width)] * stages + [(1, 2, m, width)] * stages)
     assert forward == [(3, 3, m, m)] * stages + [(1, 3, m, m)] * stages
