@@ -316,16 +316,19 @@ def energy_lemma_ensemble(eps: float, p_t, q_t, ensemble: EnsembleSpec) -> Estim
 
     The lemma owes one constant for all data, so each sampled pair is probed
     along its whole y-scale ray: with T = |<B(x), y>|, V = eps ||x||^2_{H1},
-    the implied constant at scale L is (L T - V) / (||x||^2 (L ||y||)^q~),
-    and the sweep captures its maximizer.  x is drawn with power-law
-    exponent 2.5 and y with 2.0.
+    the implied constant at scale L is (L T - V) / (||x||^2 (L ||y||)^q~).
+    Its supremum over L > 0, reached at L* = q~ V / ((q~ - 1) T), is
+
+        ((q~ - 1)^(q~ - 1) / q~^q~) T^q~ / (V^(q~ - 1) ||x||^2 ||y||^q~).
+
+    x is drawn with power-law exponent 2.5 and y with 2.0.
     """
     p_t, q_t = as_fraction(p_t), as_fraction(q_t)
     _energy_lemma_hypotheses(p_t, q_t)
     sigma = Fraction(2) / p_t + Fraction(2) / q_t - 1
     qf = float(q_t)
+    peak = (qf - 1.0) ** (qf - 1.0) / qf**qf
     gamma_x, gamma_y = 2.5, 2.0
-    scales = 2.0 ** np.arange(-4, 13)
     per_res = {}
     all_cs = []
     for n in ensemble.resolutions:
@@ -339,10 +342,7 @@ def energy_lemma_ensemble(eps: float, p_t, q_t, ensemble: EnsembleSpec) -> Estim
             y_norm = besov_value(y, sigma, p_t, q_t)
             if x_l2_sq <= 0 or y_norm <= 0:
                 continue
-            c_best = max(
-                max(0.0, sc * t_pair - visc) / (x_l2_sq * (sc * y_norm) ** qf) for sc in scales
-            )
-            cs.append(c_best)
+            cs.append(peak * t_pair**qf / (visc ** (qf - 1.0) * x_l2_sq * y_norm**qf))
         per_res[int(n)] = {"max": float(np.max(cs)), "mean": float(np.mean(cs))}
         all_cs.extend(cs)
     return EstimateReport(

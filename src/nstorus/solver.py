@@ -97,7 +97,7 @@ DEFAULT_CONSTANTS = EmpiricalConstants(
     c1=0.08540805172378166,
     c2=0.19813420210065544,
     c3=1.2938890668858263,
-    c_energy=5.6897452553122534e-05,
+    c_energy=6.172778490601045e-05,
     c_ladyzhenskaya=0.2077355105547123,
 )
 

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from nstorus.errors import (
     UnboundedConstant,
 )
 from nstorus.fields import SpectralField, _lattice, random_field
-from nstorus.nonlinear import bilinear_b
+from nstorus.nonlinear import EnsembleSpec, bilinear_b, energy_lemma_ensemble, trilinear
 from nstorus.solver import (
     DEFAULT_CONSTANTS,
     EmpiricalConstants,
@@ -548,16 +549,36 @@ class TestEstimator:
             "c1": 0.0812019085122132,
             "c2": 0.13185758668211522,
             "c3": 1.181099307473043,
-            "c_energy": 5.410027198080894e-06,
+            "c_energy": 6.458099387112495e-06,
             "c_ladyzhenskaya": 0.19937202379916305,
         }
 
-    def test_constant_no_probe_bounded_is_named(self):
-        # one probe whose every energy-lemma scale leaves the trilinear term
-        # below the viscous term: c_energy would be 0.0
+    def test_constant_no_probe_bounded_is_named(self, monkeypatch):
+        # an energy-lemma ensemble whose every pair implies 0: c_energy would be 0.0
+        monkeypatch.setattr(solver, "energy_lemma_ensemble",
+                            lambda *args: SimpleNamespace(max_ratio=0.0))
         with pytest.raises(UnboundedConstant,
-                           match=r"^no probe bounded c_energy \(n=32, count=1, seed=275906\)$"):
-            estimate_empirical_constants(PARAMS, n=32, count=1, seed=275906)
+                           match=r"^no probe bounded c_energy \(n=16, count=1, seed=275906\)$"):
+            estimate_empirical_constants(PARAMS, n=16, count=1, seed=275906)
+
+    def test_energy_constant_is_the_supremum_over_scales(self):
+        # inputs whose maximizing scale L* lies beyond 2^12, where a ladder of scales
+        # 2^-4 .. 2^12 found no positive constant and the estimator refused the run
+        for seed in (219913, 407414, 253375, 608742, 416844, 983965):
+            assert estimate_empirical_constants(PARAMS, n=32, count=1, seed=seed).c_energy > 0
+        # the closed form is reached at L* and bounds every scale of a ladder
+        q = float(PARAMS.r)
+        for seed in (2024, 12345, 275906):
+            got = energy_lemma_ensemble(0.25, PARAMS.p, PARAMS.r,
+                                        EnsembleSpec(count=1, seed=seed, resolutions=(32,)))
+            x = random_field(32, 2.5, seed, band=10)
+            y = random_field(32, 2.0, seed + 1, band=10)
+            t_pair, visc = abs(trilinear(x, x, y)), 0.25 * x.h_norm(1.0) ** 2
+            y_norm = besov_value(y, Fraction(2) / PARAMS.p + Fraction(2) / PARAMS.r - 1,
+                                 PARAMS.p, PARAMS.r)
+            implied = lambda L: (L * t_pair - visc) / (x.energy() * (L * y_norm) ** q)
+            assert implied(q * visc / ((q - 1) * t_pair)) == pytest.approx(got.max_ratio, rel=1e-12)
+            assert all(implied(2.0 ** k) <= got.max_ratio * (1 + 1e-12) for k in range(-4, 40))
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="ensemble count must be >= 1, got 0"):
