@@ -2,10 +2,10 @@
 
 B(u, v) projects (u . grad) v = div(u (x) v) back onto the divergence-free
 basis.  The pseudo-spectral path multiplies velocity samples on a grid that
-leaves no aliased product inside the retained band |k|_inf <= band (the
-aliasing count behind the 2/3 rule), so on that band the result is the
-exact Galerkin convolution, which is what restores the trilinear
-antisymmetry the energy arguments need.  The oracle computes the same
+leaves no aliased product inside the retained band |k|_inf <= N/3 (the
+aliasing count behind the 2/3 rule); band and grid both follow from N.  On
+that band the result is the exact Galerkin convolution, which is what
+restores the trilinear antisymmetry the energy arguments need.  The oracle computes the same
 convolution as a literal double sum over mode pairs.
 
 The inequality constants of the estimate chain are never known numbers;
