@@ -346,10 +346,6 @@ class SpectralField:
         _, _, canon, kk, _, _, _ = _lattice(self.n)
         return np.where(canon, fn(np.where(canon, kk, 1)), 0.0)
 
-    def truncated_inf(self, band: int) -> "SpectralField":
-        """Zero out all modes with |k|_inf > band."""
-        return SpectralField(self.n, np.where(_band_mask(self.n, band), self.c, 0.0))
-
     def low_pass(self, k_cut: int) -> "SpectralField":
         """Keep modes with Euclidean |k| <= k_cut."""
         _, _, _, kk, _, _, _ = _lattice(self.n)

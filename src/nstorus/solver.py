@@ -2,10 +2,11 @@
 
 The integrator is integrating-factor RK4: the Stokes part is applied
 exactly through exp(-dt A) per mode, classical RK4 handles the transformed
-nonlinearity, and every state is confined to the dealiased band so the
-discrete system is the exact Galerkin truncation.  The right-hand side
-returns, at each stage, the non-Stokes term together with the
-energy-balance integrands it evaluates there; the step sums those with
+nonlinearity, and data wider than the dealiased band |k|_inf <= n//3 is
+refused where a solve is set up, never cut, so the discrete system is the
+exact Galerkin truncation of the data whose norms the run reports.  The
+right-hand side returns, at each stage, the non-Stokes term together with
+the energy-balance integrands it evaluates there; the step sums those with
 the RK4 weights, which keeps the discrete energy identity accurate to the
 scheme's own order instead of a lower-order quadrature.
 
@@ -172,7 +173,7 @@ class Stepper:
 
 
 def integrate(state0: tuple, nonlin, t_final: float, steps: int) -> tuple:
-    """Integrate u' + Au = du for each component from the state cut to the dealiased band.
+    """Integrate u' + Au = du for each component from state0, refused beyond the band.
 
     The C components are held as one (C, n/2 + 1, n + 1) stack, and
     nonlin(stack, t) is called once per stage, as Stepper.step describes.
@@ -184,13 +185,14 @@ def integrate(state0: tuple, nonlin, t_final: float, steps: int) -> tuple:
     the order nonlin lists them.
     """
     n = state0[0].n
+    _require_resolution(n, *state0)
     dt = t_final / steps
     stepper = Stepper(n, dt)
     kk = stokes_weights(n)
     times = np.linspace(0.0, t_final, steps + 1)
     block = np.empty((2, steps + 1, len(state0)) + canonical_shape(n), dtype=np.complex128)
     states, derivs = block
-    states[0] = [u.truncated_inf(dealias_band(n)).c for u in state0]
+    states[0] = [u.c for u in state0]
     increments = []
     for i in range(steps):
         t = float(times[i])
@@ -209,24 +211,25 @@ def integrate(state0: tuple, nonlin, t_final: float, steps: int) -> tuple:
                  for j, inc in enumerate(zip(*increments)))
 
 
-def _band_forcing(forcing):
-    """t -> forcing.field_at(t) cut to the dealiased band |k|_inf <= dealias_band(n).
-
-    A steady forcing is the same field at every t, so it is built once.
-    """
-    band = dealias_band(forcing.n)
+def _forcing_at(forcing):
+    """t -> forcing.field_at(t), built once when the forcing is steady."""
     if forcing.is_steady():
-        value = forcing.field_at(0.0).truncated_inf(band)
+        value = forcing.field_at(0.0)
         return lambda t: value
-    return lambda t: forcing.field_at(t).truncated_inf(band)
+    return forcing.field_at
 
 
-def _require_resolution(config: SolverConfig, *data) -> None:
-    """Refuse data at another resolution than config.n, naming both: the band and the
-    product grid follow the data, so the run would not be the one its artifacts record."""
+def _require_resolution(n: int, *data) -> None:
+    """Refuse, naming both sides, data at another resolution than n (it would run at
+    its own band and grid) and any field or forcing profile whose |k|_inf support
+    exceeds dealias_band(n): the run steps and measures only in-band data."""
+    band = dealias_band(n)
     for item in data:
-        if item.n != config.n:
-            raise ResolutionMismatch(f"data at resolution {item.n} for a solver at n = {config.n}")
+        if item.n != n:
+            raise ResolutionMismatch(f"data at resolution {item.n} for a solver at n = {n}")
+        if item.max_mode_inf > band:
+            raise ResolutionMismatch(f"data support |k|_inf = {item.max_mode_inf} exceeds "
+                                     f"the band {band} at n = {n}")
 
 
 def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
@@ -237,8 +240,8 @@ def solve_direct(u0: SpectralField, forcing, config: SolverConfig,
     bilinear_b.  With monitor, the energy-balance integrands ||u||_{H1}^2,
     <f, u> and <B(u,u), u> are accumulated as visc, work_f and work_b.
     """
-    _require_resolution(config, u0, forcing)
-    force = _band_forcing(forcing)
+    _require_resolution(config.n, u0, forcing)
+    force = _forcing_at(forcing)
 
     def nonlin(state, t):
         u = SpectralField._view(config.n, state[0])
@@ -304,6 +307,7 @@ def picard_iterate(u0: SpectralField, forcing, params, t_bar: float,
     measured in the discrete graph norm of the difference; the recorded
     factors are ratios of consecutive difference norms.
     """
+    _require_resolution(u0.n, u0, forcing)
     times = np.linspace(0.0, t_bar, steps + 1)
     dt = t_bar / steps
 
@@ -312,11 +316,10 @@ def picard_iterate(u0: SpectralField, forcing, params, t_bar: float,
                           derivs=[pa - pb for pa, pb in zip(rhs_a, rhs_b)])
         return diff.w1r_norm(params)
 
-    force = _band_forcing(forcing)
-    u0b = u0.truncated_inf(dealias_band(u0.n))
-    decay = u0b.radial_weights(lambda kk: np.exp(-dt * kk.astype(float)))
-    gain = u0b.radial_weights(lambda kk: -np.expm1(-dt * kk.astype(float)) / kk.astype(float))
-    current = [semigroup(u0b, float(t)) for t in times]
+    force = _forcing_at(forcing)
+    decay = u0.radial_weights(lambda kk: np.exp(-dt * kk.astype(float)))
+    gain = u0.radial_weights(lambda kk: -np.expm1(-dt * kk.astype(float)) / kk.astype(float))
+    current = [semigroup(u0, float(t)) for t in times]
     derivs = [-apply_a(f) for f in current]
     diff_norms: list = []
     factors: list = []
@@ -324,11 +327,8 @@ def picard_iterate(u0: SpectralField, forcing, params, t_bar: float,
     iterations = 0
     for it in range(PICARD_MAX_ITER):
         iterations = it + 1
-        rhs_fields = [
-            force(float(t)) - bilinear_b(w, w)
-            for t, w in zip(times, current)
-        ]
-        new_fields = [u0b]
+        rhs_fields = [force(float(t)) - bilinear_b(w, w) for t, w in zip(times, current)]
+        new_fields = [u0]
         for rhs in rhs_fields[:-1]:
             new_fields.append(new_fields[-1].scale_radial(decay) + rhs.scale_radial(gain))
         check_finite_samples(times, new_fields)
@@ -351,7 +351,7 @@ def picard_iterate(u0: SpectralField, forcing, params, t_bar: float,
 
 def solve_local(u0: SpectralField, forcing, params, config: SolverConfig) -> LocalResult:
     """Local-in-time solve on [0, T-bar] with T-bar from the smallness bound."""
-    _require_resolution(config, u0, forcing)
+    _require_resolution(config.n, u0, forcing)
     gate = check_local(params)
     if not gate.all_pass:
         raise InadmissibleParams(
@@ -390,7 +390,8 @@ def split_data(u0: SpectralField, forcing: ForcingSpec, eps_split: float, params
     The cutoff k_cut grows from 1 to n/2 until the rough-part norms (the
     L^r-in-time Besov norm of h on 65 samples of [0, t_final] and the
     initial-space norm of y0) both fall below eps_split; exhausting the
-    resolution raises CutoffExhausted.
+    resolution raises CutoffExhausted.  Only data wider than the band, passed
+    here directly, can: in-band modes have |k|^2 <= 2 (n//3)^2 < (n/2)^2.
     """
     if eps_split <= 0:
         raise ValueError("eps_split must be positive")
@@ -473,11 +474,10 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y0: SpectralField, h: ForcingSpec
     configured energy-lemma constant.  Each stage takes the three product
     groups of the stacked (y, x) state from one bilinear_terms call.
     """
-    _require_resolution(config, x0, g, y0, h)
+    _require_resolution(config.n, x0, g, y0, h)
     _check_rough_data(y0, h, params, config)
     n = config.n
-    force_h = _band_forcing(h)
-    force_g = _band_forcing(g)
+    force_h, force_g = _forcing_at(h), _forcing_at(g)
     terms = [[(0, 0)], [(1, 1)], [(1, 0), (0, 1)]]
 
     def nonlin(state, t):
@@ -490,7 +490,7 @@ def solve_x(x0: SpectralField, g: ForcingSpec, y0: SpectralField, h: ForcingSpec
         return du, ({}, integrands)
 
     y_traj, traj = integrate((y0, x0), nonlin, config.t_final, config.steps)
-    monitor = build_energy_monitor(traj, y_traj, g, traj.fields[0], params, config)
+    monitor = build_energy_monitor(traj, y_traj, g, x0, params, config)
     return XResult(traj, y_traj, monitor)
 
 
@@ -504,11 +504,10 @@ def build_energy_monitor(traj: Trajectory, y_traj: Trajectory, g: ForcingSpec,
     residuals = (lhs - rhs) / scale
     # a priori envelope: ||x(t)||^2 <= (||x0||^2 + 2 int ||g||^2_{H-1}) exp(2 c int ||y||^r)
     times = traj.times
-    force = _band_forcing(g)
     if g.is_steady():
-        g_vals = np.full(len(times), force(0.0).h_norm(-1.0) ** 2)
+        g_vals = np.full(len(times), g.field_at(0.0).h_norm(-1.0) ** 2)
     else:
-        g_vals = [force(float(t)).h_norm(-1.0) ** 2 for t in times]
+        g_vals = [g.field_at(float(t)).h_norm(-1.0) ** 2 for t in times]
     g_int = cumulative_trapezoid(times, g_vals)
     sigma = Fraction(2) / params.p + Fraction(2) / params.r - 1
     y_vals = y_traj.besov_series(sigma, params.p, params.r) ** float(params.r)
@@ -540,7 +539,7 @@ def solve_split(u0: SpectralField, forcing: ForcingSpec, params,
     independent check of x + y, is its own one-component integration with
     the one-field product bilinear_b.
     """
-    _require_resolution(config, u0, forcing)
+    _require_resolution(config.n, u0, forcing)
     gate = check_global(params)
     if not gate.all_pass:
         raise InadmissibleParams(
@@ -585,9 +584,9 @@ def uniqueness_probe(u0: SpectralField, forcing, params, config: SolverConfig,
     state0 = (u0, SpectralField.zeros(u0.n))
     if delta0 is not None and not delta0.is_zero():
         state0 += (delta0,)
-    _require_resolution(config, forcing, *state0)
+    _require_resolution(config.n, forcing, *state0)
     steps = config.steps
-    force = _band_forcing(forcing)
+    force = _forcing_at(forcing)
     terms = [[(0, 0)]] + [[(0, j), (j, 0)] for j in range(1, len(state0))]
 
     def nonlin(state, t):

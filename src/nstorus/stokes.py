@@ -14,7 +14,7 @@ threshold and continuity ratio in the package is measured with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -127,6 +127,11 @@ class ForcingSpec:
     def is_zero(self) -> bool:
         return all(c.profile.is_zero() for c in self.components)
 
+    @property
+    def max_mode_inf(self) -> int:
+        """The |k|_inf support: the widest of the component profiles (0 if none)."""
+        return max((c.profile.max_mode_inf for c in self.components), default=0)
+
     def is_steady(self) -> bool:
         """True when every component has the constant law: field_at is then one field."""
         return all(c.law == "constant" for c in self.components)
@@ -141,9 +146,9 @@ class ForcingSpec:
         """Low-pass part (modes |k| <= k_cut) and the remainder."""
         low, high = [], []
         for comp in self.components:
-            low.append(ForcingComponent(comp.profile.low_pass(k_cut), comp.law, comp.frequency, comp.phase))
-            high.append(ForcingComponent(comp.profile - comp.profile.low_pass(k_cut),
-                                         comp.law, comp.frequency, comp.phase))
+            profile = comp.profile.low_pass(k_cut)
+            low.append(replace(comp, profile=profile))
+            high.append(replace(comp, profile=comp.profile - profile))
         return ForcingSpec(self.n, low), ForcingSpec(self.n, high)
 
     def duhamel_term(self, t: float) -> SpectralField:

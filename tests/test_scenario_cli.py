@@ -321,17 +321,21 @@ class TestCli:
         assert main(["stokes", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
         assert "does not divide" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting,error", [
-        ("solver.smallness_y0 = 1e-12", "SmallnessViolation"),
-        ("solver.split_eps = 1e-14", "CutoffExhausted"),
+    @pytest.mark.parametrize("mode,setting,error", [
+        pytest.param("5 5", "solver.smallness_y0 = 1e-12", "SmallnessViolation: ",
+                     id="solver.smallness_y0 = 1e-12-SmallnessViolation"),
+        # in-band modes always split (|k|^2 <= 2 * 5^2 < 8^2), so the (7, 7) mode that
+        # would exhaust every cutoff lies beyond the band 5 and is refused first
+        pytest.param("7 7", "solver.split_eps = 1e-14",
+                     "ResolutionMismatch: data support |k|_inf = 7 exceeds the band 5 at n = 16\n",
+                     id="solver.split_eps = 1e-14-ResolutionMismatch"),
     ])
-    def test_package_errors_are_reported_by_type(self, tmp_path, capsys, setting, error):
-        # the (7, 7) mode lies beyond every cutoff |k| <= n/2, so y0 is never zero
+    def test_package_errors_are_reported_by_type(self, tmp_path, capsys, mode, setting, error):
         scn = tmp_path / "rough.scn"
-        scn.write_text(SCENARIO_TEXT + "initial.mode = 7 7 1e-06 0.0\n" + setting + "\n")
+        scn.write_text(SCENARIO_TEXT + f"initial.mode = {mode} 1e-06 0.0\n" + setting + "\n")
         code = main(["solve-split", "--scenario", str(scn), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {error}: ")
+        assert capsys.readouterr().err.startswith(f"error: {error}")
 
     @pytest.mark.parametrize("line,key", [
         ("constants.c1 = abc", "constants.c1"),
@@ -384,6 +388,21 @@ class TestCli:
                    if isinstance(c, type) and issubclass(c, Exception)]
         assert len(classes) >= 12
         assert all(issubclass(c, errors.NstorusError) for c in classes + [ScenarioError])
+
+    def test_unbanded_demo_is_refused_by_the_nonlinear_solves(self, tmp_path, capsys):
+        # without its two band = 10 lines the demo draws support 16 at N = 32; the
+        # nonlinear solves refuse it, and the exact linear solve takes it
+        demo = (Path(__file__).parents[1] / "scenarios" / "demo.scn").read_text()
+        text = demo.replace("initial.band = 10\n", "").replace("forcing.band = 10\n", "")
+        assert ".band" not in text
+        scn = tmp_path / "unbanded.scn"
+        scn.write_text(text.replace("solver.t_final = 1.0", "solver.t_final = 0.05")
+                       .replace("snapshot_times = 0.0 1.0", "snapshot_times = 0.0 0.05"))
+        for command in ("solve", "solve-split", "uniqueness-probe"):
+            assert main([command, "--scenario", str(scn), "--out", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err == ("error: ResolutionMismatch: data support "
+                                               "|k|_inf = 16 exceeds the band 10 at n = 32\n")
+        assert main(["stokes", "--scenario", str(scn), "--out", str(tmp_path / "stokes")]) == 0
 
     def test_stokes_artifacts(self, tmp_path):
         scn = tmp_path / "demo.scn"

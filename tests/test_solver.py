@@ -70,6 +70,38 @@ class TestConfig:
             with pytest.raises(ResolutionMismatch, match=r"resolution 32 .* n = 16$"):
                 call()
 
+    def test_data_beyond_the_band_is_refused(self):
+        # a solver steps, and reports the norms of, the data it is given: data wider
+        # than the band |k|_inf <= 5 is refused, not cut to it
+        cfg = SolverConfig(n=16, dt=0.01, t_final=0.02)
+        u, f = random_field(16, 2.2, 1, band=cfg.band), ForcingSpec.zero(16)
+        u_wide = random_field(16, 2.2, 2, band=6)
+        f_wide = ForcingSpec.from_modes(16, [((1, 0), 0.1), ((6, 2), 0.1, "sinusoid", 3.0, 0.2)])
+        assert u_wide.max_mode_inf == f_wide.max_mode_inf == 6
+        refused = r"^data support \|k\|_inf = 6 exceeds the band 5 at n = 16$"
+
+        def still(state, t):
+            return np.zeros_like(state), ({},) * len(state)
+
+        with pytest.raises(ResolutionMismatch, match=refused):
+            integrate((u, u_wide), still, cfg.t_final, cfg.steps)
+        for u0, f0 in ((u_wide, f), (u, f_wide)):
+            calls = [lambda: solve_direct(u0, f0, cfg),
+                     lambda: solve_local(u0, f0, PARAMS, cfg),
+                     lambda: solve_split(u0, f0, PARAMS, cfg),
+                     lambda: solve_x(u, f, u0, f0, PARAMS, cfg),
+                     lambda: uniqueness_probe(u, f0, PARAMS, cfg, delta0=u0),
+                     lambda: picard_iterate(u0, f0, PARAMS, 0.02, 2)]
+            for call in calls:
+                with pytest.raises(ResolutionMismatch, match=refused):
+                    call()
+        # the linear solve is exact at any support and takes the full lattice
+        full = random_field(16, 2.2, 3)
+        assert full.max_mode_inf == 8
+        traj = stokes_solve(full, ForcingSpec.from_field(full), 0.02, 2)
+        assert np.array_equal(traj.fields[0].c, full.c)
+        assert traj.fields[-1].max_mode_inf == 8
+
 
 class TestStep:
     def test_linear_reduction_matches_semigroup_per_mode(self):
@@ -89,14 +121,13 @@ class TestStep:
 
     def test_uncoupled_components_step_as_if_alone(self):
         cfg = SolverConfig(n=16, dt=0.01, t_final=0.1)
-        band = cfg.band
-        u0 = random_field(16, 2.0, 3, band=band, amplitude=0.5)
+        u0 = random_field(16, 2.0, 3, band=cfg.band, amplitude=0.5)
         v0 = random_field(16, 1.5, 4, band=2, amplitude=0.2)
         f = ForcingSpec.from_modes(16, [((1, 1), 0.1, "sinusoid", 3.0, 0.2)])
         forcings = (f, ForcingSpec.zero(16))
 
         def direct(u, t, forcing):
-            fu = forcing.field_at(t).truncated_inf(band)
+            fu = forcing.field_at(t)
             b = bilinear_b(u, u)
             return fu - b, {"visc": u.h_norm(1.0) ** 2, "work_b": b.inner(u)}
 
@@ -162,7 +193,7 @@ class TestStep:
         u0 = random_field(16, 2.0, 8, band=cfg.band, amplitude=0.5)
         traj = solve_direct(u0, ForcingSpec.zero(16), cfg, monitor=True)
         lhs = 0.5 * traj.series(lambda u: u.energy()) + traj.acc["visc"]
-        rhs = 0.5 * u0.truncated_inf(cfg.band).energy() + traj.acc["work_b"]
+        rhs = 0.5 * u0.energy() + traj.acc["work_b"]
         scale = max(np.max(np.abs(lhs)), 1e-300)
         # residual is O(dt^4) per the scheme's own order; ~5e-10 at dt = 2e-3
         assert np.max(np.abs(lhs - rhs)) <= 5e-9 * scale
@@ -193,14 +224,13 @@ class TestStageWork:
         assert len(products) == 4 * cfg.steps + 1  # one per stage, then the final derivative
         monkeypatch.undo()
         # the reused stage products give the accumulators of a recomputing monitor
-        band = cfg.band
 
         def nonlin(state, t):
             u = SpectralField(16, state[0])
-            du = f.field_at(t).truncated_inf(band) - bilinear_b(u, u)
+            du = f.field_at(t) - bilinear_b(u, u)
             return du.c[None], ({
                 "visc": u.h_norm(1.0) ** 2,
-                "work_f": f.field_at(t).truncated_inf(band).inner(u),
+                "work_f": f.field_at(t).inner(u),
                 "work_b": bilinear_b(u, u).inner(u),
             },)
 
@@ -376,7 +406,8 @@ class TestSolveYX:
         cfg = SolverConfig(n=16, dt=0.02, t_final=0.2, smallness_y0=1e-6)
         with pytest.raises(SmallnessViolation):
             solve_x(SpectralField.zeros(16), ForcingSpec.zero(16),
-                    random_field(16, 1.0, 2, amplitude=1.0), ForcingSpec.zero(16), PARAMS, cfg)
+                    random_field(16, 1.0, 2, band=cfg.band, amplitude=1.0), ForcingSpec.zero(16),
+                    PARAMS, cfg)
 
     @pytest.mark.parametrize("law", ["constant", "sinusoid"])
     def test_monitor_takes_a_steady_forcing_norm_once(self, monkeypatch, law):
@@ -389,13 +420,13 @@ class TestSolveYX:
         monkeypatch.setattr(SpectralField, "h_norm",
                             lambda self, s: h_norms.append(s) or original(self, s))
         monitor = solver.build_energy_monitor(res.trajectory, res.y_trajectory, g,
-                                              x0.truncated_inf(cfg.band), PARAMS, cfg)
+                                              x0, PARAMS, cfg)
         assert h_norms.count(-1.0) == (1 if law == "constant" else cfg.steps + 1)
         # the envelope of the per-sample norms, as it was computed for every forcing
-        g_vals = [g.field_at(float(t)).truncated_inf(cfg.band).h_norm(-1.0) ** 2
+        g_vals = [g.field_at(float(t)).h_norm(-1.0) ** 2
                   for t in res.trajectory.times]
         y_int = cumulative_trapezoid(res.trajectory.times, np.zeros(cfg.steps + 1))
-        envelope = ((x0.truncated_inf(cfg.band).energy()
+        envelope = ((x0.energy()
                      + 2.0 * cumulative_trapezoid(res.trajectory.times, g_vals))
                     * np.exp(2.0 * cfg.constants.c_energy * y_int))
         assert np.array_equal(monitor.envelope, envelope)

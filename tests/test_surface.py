@@ -115,8 +115,8 @@ def parameters_named(source: str, name: str) -> list:
 
 def test_products_and_solves_take_no_band():
     # the dealiased band is a function of n (nonlinear.dealias_band), so no product or
-    # solve is handed one; random_field(band=...) and truncated_inf(band) set the
-    # support of data, and stay outside this rule
+    # solve is handed one; random_field(band=...) sets the support of data, and stays
+    # outside this rule
     found = {p.stem: parameters_named(p.read_text(), "band")
              for p in (SRC / "nonlinear.py", SRC / "solver.py")}
     assert found == {"nonlinear": [], "solver": []}
